@@ -42,7 +42,9 @@ from .core import (
     part_before,
     validate_tiling,
 )
-from .exact import enumerate_linking, has_factor, max_tiling
+# has_factor is unused here but stays bound: perfbench/test_harness.py
+# checks that the tracer patches this module's binding of it
+from .exact import enumerate_linking, has_factor  # noqa: F401
 from .matching import max_matching_matrix
 
 
@@ -328,45 +330,7 @@ class Gadget:
 
 
 @dataclass
-class SampledAbsorber:
-    """A patterned vertex tuple kept because its vertex set tiles itself;
-    it absorbs exactly the transversals whose union with it still tiles."""
-
-    vertices: dict  # part -> tuple of indices
-
-    def vertex_refs(self) -> list:
-        return [VertexRef(p, i) for p, ids in sorted(self.vertices.items()) for i in ids]
-
-    def _alive(self, G, extra=None):
-        masks = [np.zeros(G.n, dtype=bool) for _ in range(G.k)]
-        for p, ids in self.vertices.items():
-            masks[p - 1][list(ids)] = True
-        if extra is not None:
-            for p, idx in enumerate(extra, start=1):
-                masks[p - 1][idx] = True
-        return masks
-
-    def can_absorb(self, G: BlowupGraph, trans: Sequence[int]) -> bool:
-        for p, idx in enumerate(trans, start=1):
-            if idx in self.vertices[p]:
-                return False
-        return has_factor(G, alive=self._alive(G, trans))
-
-    def own_cycles(self) -> list:
-        return list(self._own)
-
-    def absorb_cycles(self, G: BlowupGraph, trans: Sequence[int]) -> list:
-        size = len(self.vertices[1]) + 1
-        res = max_tiling(G, alive=self._alive(G, trans), stop_at=size)
-        if res.size != size:
-            raise StageFailure("absorption", "absorber cannot tile itself with "
-                                             "the transversal it accepted")
-        return res.cycles
-
-
-@dataclass
 class AbsorberSet:
-    mode: str
     t: int
     sigma: float
     absorbers: list
@@ -460,80 +424,24 @@ def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
 
 
 def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
-                   mode: str = "greedy", t: Optional[int] = None,
+                   t: Optional[int] = None,
                    eta=None, count: Optional[int] = None,
                    max_retries: int = 50) -> AbsorberSet:
     """Absorbing structure with one absorber per unit of capacity.
 
-    greedy mode (the default) builds ``count`` vertex-disjoint gadgets
-    with t = k-1; when ``eta`` is given it first spot-checks that a few
-    same-part pairs have at least eta*n^t linking sequences.  faithful
-    mode follows the sampling recipe: it requires sigma below the
-    bound 0.1 * eta^(k+1) / ((k(t+1))^2 + 1) (raising PreconditionError
-    otherwise), draws a number of patterned tuples that is Poisson with
-    mean 0.2*sigma*n, discards tuples with repeated vertices, both
-    members of every intersecting pair, and tuples whose vertex set does
-    not tile itself, and checks the per-part footprint stays at most
-    sigma*n.
+    Builds ``count`` vertex-disjoint gadgets with t = k-1; when ``eta``
+    is given it first spot-checks that a few same-part pairs have at
+    least eta*n^t linking sequences.
     """
     _require_rng(rng)
     k, n = G.k, G.n
     if t is None:
         t = k - 1
-    if (t + 1) % k:
-        raise PreconditionError(f"t+1 = {t + 1} must be a multiple of k = {k}")
+    if t != k - 1:
+        raise PreconditionError("gadgets are built for t = k-1")
     sig = Fraction(sigma)
     if not 0 < sig < 1:
         raise PreconditionError("sigma must lie in (0, 1)")
-
-    if mode == "faithful":
-        if eta is None:
-            raise PreconditionError("faithful mode needs eta")
-        ell = k * (t + 1)
-        bound = Fraction(1, 10) * Fraction(eta) ** (k + 1) / (ell * ell + 1)
-        if sig > bound:
-            raise PreconditionError(
-                f"sigma = {sigma} exceeds the sampling bound {float(bound):.3e} "
-                f"for eta = {eta}, t = {t}")
-        lam = 0.2 * float(sig) * n
-        draws = int(rng.poisson(lam))
-        tuples = []
-        for _ in range(draws):
-            seq = tuple(int(x) for x in rng.integers(0, n, size=ell))
-            tuples.append(seq)
-        kept = []
-        seen_sets = []
-        for seq in tuples:
-            byp: Dict[int, list] = {p: [] for p in range(1, k + 1)}
-            for pos, idx in enumerate(seq):
-                byp[pos % k + 1].append(idx)
-            if any(len(set(ids)) != len(ids) for ids in byp.values()):
-                continue
-            kept.append({p: tuple(sorted(ids)) for p, ids in byp.items()})
-        refs = [set((p, i) for p, ids in v.items() for i in ids) for v in kept]
-        disjoint = []
-        for a, va in enumerate(kept):
-            if all(a == b or not (refs[a] & refs[b]) for b in range(len(kept))):
-                disjoint.append(va)
-        final = []
-        for v in disjoint:
-            masks = [np.zeros(n, dtype=bool) for _ in range(k)]
-            for p, ids in v.items():
-                masks[p - 1][list(ids)] = True
-            res = max_tiling(G, alive=masks, stop_at=t + 1)
-            if res.size == t + 1:
-                ab = SampledAbsorber(v)
-                ab._own = res.cycles
-                final.append(ab)
-        if Fraction((t + 1) * len(final)) > sig * n:
-            raise StageFailure("absorber", "sampled absorber footprint exceeds "
-                                           "sigma*n per part")
-        return AbsorberSet("faithful", t, float(sigma), final)
-
-    if mode != "greedy":
-        raise PreconditionError(f"unknown absorber mode {mode!r}")
-    if t != k - 1:
-        raise PreconditionError("greedy gadgets are built for t = k-1")
     if count is None:
         count = max(1, math.ceil(sig * sig * n))
     if eta is not None:
@@ -565,7 +473,7 @@ def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
         for ref in g.vertex_refs():
             avail[ref.part - 1][ref.index] = False
         gadgets.append(g)
-    return AbsorberSet("greedy", t, float(sigma), gadgets)
+    return AbsorberSet(t, float(sigma), gadgets)
 
 
 def _normalize_W(G: BlowupGraph, W) -> dict:
@@ -741,8 +649,8 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
     for attempt in range(3):
         try:
             t0 = time.monotonic()
-            absorber = build_absorber(G, float(sig), rng, mode="greedy",
-                                      count=s, eta=eta, max_retries=max_retries)
+            absorber = build_absorber(G, float(sig), rng, count=s, eta=eta,
+                                      max_retries=max_retries)
             stages.append({"stage": "absorber", "gadgets": s,
                            "millis": (time.monotonic() - t0) * 1000})
 

@@ -134,14 +134,12 @@ def max_tiling(
     *,
     alive=None,
     stop_at: Optional[int] = None,
-    use_matching_bound: bool = False,
 ) -> MaxTilingResult:
     """Maximum transversal cycle tiling by depth-first branch and bound.
 
     Branches on the lowest-index available vertex of V_1, enumerating
     the cycles through it and the option of leaving it uncovered, and
-    prunes with the bound current size + least per-part availability
-    (optionally tightened by per-pair maximum-matching sizes).
+    prunes with the bound current size + least per-part availability.
 
     ``stop_at`` aborts as soon as a tiling of that size is found; the
     result is flagged optimal only if ``stop_at`` is also a valid upper
@@ -157,17 +155,6 @@ def max_tiling(
     state = {"best": [], "nodes": 0, "timed_out": False, "done": False}
     current = []
 
-    def matching_cap() -> int:
-        from .matching import max_matching_matrix
-
-        best = hard_cap
-        for i in range(1, G.k + 1):
-            left = [int(x) for x in np.flatnonzero(avail[i - 1])]
-            right = [int(x) for x in np.flatnonzero(avail[i % G.k])]
-            m = max_matching_matrix(G.pair_matrix(i), left, right)
-            best = min(best, len(current) + len(m))
-        return best
-
     def dfs():
         state["nodes"] += 1
         if deadline is not None and state["nodes"] % 64 == 0:
@@ -182,8 +169,6 @@ def max_tiling(
                 return
         bound = len(current) + min(counts)
         if bound <= len(state["best"]):
-            return
-        if use_matching_bound and matching_cap() <= len(state["best"]):
             return
         free = np.flatnonzero(avail[0])
         if free.size == 0:

@@ -35,9 +35,9 @@ so it is exhaustive without visiting every lattice point.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class Interval:
                  self.hi * other.lo, self.hi * other.hi)
         return Interval(min(prods), max(prods))
 
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
     @staticmethod
     def point(v) -> "Interval":
         v = Fraction(v)
@@ -79,7 +76,9 @@ class Interval:
 
 
 class Expr:
-    """Tiny arithmetic AST over named variables and rational constants."""
+    """Tiny arithmetic AST over named variables and rational constants,
+    used to write the systems down; Constraint compiles it for
+    evaluation over boxes."""
 
     def __add__(self, other):
         return Add((self, _lift(other)))
@@ -102,15 +101,6 @@ class Expr:
     def __neg__(self):
         return Mul((Num(F(-1)), self))
 
-    def interval(self, env: Dict[str, Interval]) -> Interval:
-        raise NotImplementedError
-
-    def finterval(self, fenv: Dict[str, tuple]) -> tuple:
-        """Float enclosure (lo, hi); steering only, never trusted.  The
-        environment may hold plain floats or numpy arrays (one row per
-        candidate box), in which case the result broadcasts."""
-        raise NotImplementedError
-
     def value(self, point: Dict[str, Fraction]) -> Fraction:
         raise NotImplementedError
 
@@ -130,13 +120,6 @@ def _lift(v) -> Expr:
 class Num(Expr):
     c: Fraction
 
-    def interval(self, env):
-        return Interval.point(self.c)
-
-    def finterval(self, fenv):
-        f = float(self.c)
-        return (f, f)
-
     def value(self, point):
         return self.c
 
@@ -148,12 +131,6 @@ class Num(Expr):
 class Var(Expr):
     name: str
 
-    def interval(self, env):
-        return env[self.name]
-
-    def finterval(self, fenv):
-        return fenv[self.name]
-
     def value(self, point):
         return point[self.name]
 
@@ -164,20 +141,6 @@ class Var(Expr):
 @dataclass(frozen=True)
 class Add(Expr):
     terms: tuple
-
-    def interval(self, env):
-        out = Interval.point(0)
-        for t in self.terms:
-            out = out + t.interval(env)
-        return out
-
-    def finterval(self, fenv):
-        lo = hi = 0.0
-        for t in self.terms:
-            a, b = t.finterval(fenv)
-            lo += a
-            hi += b
-        return (lo, hi)
 
     def value(self, point):
         return sum((t.value(point) for t in self.terms), F(0))
@@ -193,21 +156,6 @@ class Add(Expr):
 @dataclass(frozen=True)
 class Mul(Expr):
     factors: tuple
-
-    def interval(self, env):
-        out = Interval.point(1)
-        for f in self.factors:
-            out = out * f.interval(env)
-        return out
-
-    def finterval(self, fenv):
-        lo, hi = 1.0, 1.0
-        for f in self.factors:
-            a, b = f.finterval(fenv)
-            p1, p2, p3, p4 = lo * a, lo * b, hi * a, hi * b
-            lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-            hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return (lo, hi)
 
     def value(self, point):
         out = F(1)
@@ -227,9 +175,131 @@ class Mul(Expr):
         return {m: c for m, c in out.items() if c}
 
 
+# A compiled constraint is a _Table of plain tuples.  A "sum of
+# products" is a list of (coef, factors) terms, each factor an affine
+# form (const, ((name, a), ...)) whose range over a box is exact.  The
+# same table is evaluated over Fractions (exact, min/max) and over
+# numpy arrays holding one box per row (float, np.minimum/np.maximum).
+
+
+class _Table(NamedTuple):
+    terms: list  # the written sum of products: the factored form
+    monos: list  # expanded monomials as (coef, names)
+    derivs: list  # (name, sum of products of that partial derivative)
+
+
+def _written_terms(e: Expr) -> list:
+    """The expression as written, flattened to a sum of products of
+    affine factors.  A factor that is itself an affine sum becomes one
+    affine form; any other sum under a product is distributed."""
+    if isinstance(e, Num):
+        return [(e.c, ())]
+    if isinstance(e, Var):
+        return [(F(1), (_unit(e.name),))]
+    if isinstance(e, Add):
+        return [t for sub in e.terms for t in _written_terms(sub)]
+    out = [(F(1), ())]
+    for f in e.factors:
+        terms = _written_terms(f)
+        if len(terms) > 1 and all(len(fs) <= 1 for _, fs in terms):
+            terms = [_merge_affine(terms)]
+        out = [(c1 * c2, f1 + f2) for c1, f1 in out for c2, f2 in terms]
+    return out
+
+
+def _unit(name: str) -> tuple:
+    return (F(0), ((name, F(1)),))
+
+
+def _merge_affine(terms: list) -> tuple:
+    const = F(0)
+    lin: Dict[str, Fraction] = {}
+    for c, fs in terms:
+        if not fs:
+            const += c
+            continue
+        (fc, flin), = fs
+        const += c * fc
+        for v, a in flin:
+            lin[v] = lin.get(v, F(0)) + c * a
+    lin = {v: a for v, a in lin.items() if a}
+    if not lin:
+        return (const, ())
+    return (F(1), ((const, tuple(lin.items())),))
+
+
+def _compile(expr: Expr) -> _Table:
+    monos = list(expr.monomials().items())
+    derivs = []
+    for v in sorted({n for mono, _ in monos for n in mono}):
+        terms = []
+        for mono, c in monos:
+            k = mono.count(v)
+            if k:
+                rest = tuple(n for n in mono if n != v) + (v,) * (k - 1)
+                terms.append((k * c, tuple(_unit(n) for n in rest)))
+        derivs.append((v, terms))
+    return _Table(_written_terms(expr), [(c, m) for m, c in monos], derivs)
+
+
+def _float_table(table: _Table) -> _Table:
+    def terms(ts):
+        return [(float(c), tuple((float(k), tuple((v, float(a)) for v, a in lin))
+                                 for k, lin in fs)) for c, fs in ts]
+    return _Table(terms(table.terms), [(float(c), m) for c, m in table.monos],
+                  [(v, terms(ts)) for v, ts in table.derivs])
+
+
+def _range(terms: list, lo, hi, minimum, maximum) -> tuple:
+    """Enclosure (lo, hi) of a sum of products: each affine factor's
+    exact range, multiplied out in interval arithmetic."""
+    slo = shi = 0
+    for coef, factors in terms:
+        tlo = thi = coef
+        for const, lin in factors:
+            flo = fhi = const
+            for v, a in lin:
+                if a > 0:
+                    flo, fhi = flo + a * lo[v], fhi + a * hi[v]
+                else:
+                    flo, fhi = flo + a * hi[v], fhi + a * lo[v]
+            p1, p2, p3, p4 = tlo * flo, tlo * fhi, thi * flo, thi * fhi
+            tlo = minimum(minimum(p1, p2), minimum(p3, p4))
+            thi = maximum(maximum(p1, p2), maximum(p3, p4))
+        slo, shi = slo + tlo, shi + thi
+    return slo, shi
+
+
+def _mean_value(table: _Table, lo, hi, minimum, maximum) -> tuple:
+    """Mean value enclosure around the box center: the value there plus
+    each partial derivative's enclosure times that variable's offset
+    range.  This is the form that sees joint cancellations: where
+    several near-tight terms balance, the center value is small and the
+    slop is only the gradient times the half-widths."""
+    mid = {v: (lo[v] + hi[v]) / 2 for v, _ in table.derivs}
+    center = 0
+    for coef, names in table.monos:
+        t = coef
+        for v in names:
+            t = t * mid[v]
+        center = center + t
+    slop = 0
+    for v, terms in table.derivs:
+        dlo, dhi = _range(terms, lo, hi, minimum, maximum)
+        slop = slop + maximum(abs(dlo), abs(dhi)) * ((hi[v] - lo[v]) / 2)
+    return center - slop, center + slop
+
+
 @dataclass
 class Constraint:
-    """expression >= 0 when kind == "ge"; expression > 0 when "gt"."""
+    """expression >= 0 when kind == "ge"; expression > 0 when "gt".
+
+    Over a box the expression is enclosed two ways, both from one table
+    compiled here: the factored form F (the written sum of products,
+    tight where each variable occurs once) and the mean value form M
+    (tight where occurrences of a variable cancel to first order).
+    Exact Fractions decide; floats evaluate the same table, one box per
+    row, only to steer."""
 
     name: str
     expr: Expr
@@ -238,104 +308,31 @@ class Constraint:
     def __post_init__(self):
         if self.kind not in ("ge", "gt"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        self._poly = self.expr.monomials()
-        # per variable: degree -> [(coefficient, remaining names)], the
-        # grouping behind the centered (mean value) enclosures
-        self._groups: Dict[str, dict] = {}
-        for v in sorted({n for mono in self._poly for n in mono}):
-            g: dict = {}
-            for mono, c in self._poly.items():
-                k = mono.count(v)
-                g.setdefault(k, []).append((c, tuple(n for n in mono if n != v)))
-            self._groups[v] = g
+        self._table = _compile(self.expr)
+        self._ftable = _float_table(self._table)
 
-    def _poly_interval(self, env: Dict[str, Interval]) -> Interval:
-        out = Interval.point(0)
-        for mono, c in self._poly.items():
-            term = Interval.point(c)
-            for name in mono:
-                term = term * env[name]
-            out = out + term
-        return out
+    def enclosures(self, env: Dict[str, Interval]) -> Tuple[Interval, Interval]:
+        """The factored and the mean value enclosure over the box."""
+        lo, hi = _ends(env)
+        return (Interval(*_range(self._table.terms, lo, hi, min, max)),
+                Interval(*_mean_value(self._table, lo, hi, min, max)))
 
-    def _deriv_interval(self, v: str, env: Dict[str, Interval]) -> Interval:
-        """Enclosure of the v-derivative over the box."""
-        iv = env[v]
-        out = Interval.point(0)
-        for k, terms in self._groups[v].items():
-            if k == 0:
-                continue
-            for coef, rest in terms:
-                term = Interval.point(F(k) * coef)
-                for name in rest:
-                    term = term * env[name]
-                for _ in range(k - 1):
-                    term = term * iv
-                out = out + term
-        return out
-
-    def _centered_interval(self, v: str, env: Dict[str, Interval]) -> Interval:
-        """Mean value enclosure around v's midpoint: the expression at
-        v = c plus the v-derivative's enclosure times (v - c).  Sharper
-        than the direct forms when v occurs in several factors, because
-        the first-order dependence on v cancels exactly."""
-        iv = env[v]
-        c = (iv.lo + iv.hi) / 2
-        half = Interval(-(iv.hi - iv.lo) / 2, (iv.hi - iv.lo) / 2)
-        at_c = Interval.point(0)
-        for k, terms in self._groups[v].items():
-            ck = c ** k
-            for coef, rest in terms:
-                base = Interval.point(coef * ck)
-                for name in rest:
-                    base = base * env[name]
-                at_c = at_c + base
-        return at_c + self._deriv_interval(v, env) * half
-
-    def _mean_value_interval(self, env: Dict[str, Interval]) -> Interval:
-        """Mean value enclosure around the box midpoint in all
-        variables at once: the value at the center plus each partial
-        derivative's enclosure times that variable's offset range.
-        This is the form that sees joint cancellations: where several
-        near-tight terms balance, the center value is small and the
-        slop is only the gradient times the half-widths."""
-        mid = {v: (iv.lo + iv.hi) / 2 for v, iv in env.items()}
-        out = Interval.point(self.value(mid))
-        for v in self._groups:
-            iv = env[v]
-            h = (iv.hi - iv.lo) / 2
-            if h == 0:
-                continue
-            out = out + self._deriv_interval(v, env) * Interval(-h, h)
-        return out
-
-    def quick_interval(self, env: Dict[str, Interval]) -> Interval:
-        """Enclosure from the factored form intersected with the
-        expanded polynomial; cheap but loose when a variable repeats."""
-        return self.expr.interval(env).intersect(self._poly_interval(env))
-
-    def interval(self, env: Dict[str, Interval]) -> Interval:
-        """Sharpest available enclosure: the direct forms intersected
-        with the mean value form and every variable's centered form."""
-        out = self.quick_interval(env).intersect(self._mean_value_interval(env))
-        for v in self._groups:
-            out = out.intersect(self._centered_interval(v, env))
-        return out
+    def sup(self, env: Dict[str, Interval]) -> Fraction:
+        """Upper bound on the expression over the box: min(F.hi, M.hi)."""
+        f, m = self.enclosures(env)
+        return min(f.hi, m.hi)
 
     def proves(self, env: Dict[str, Interval], cut: Fraction,
                strict: bool = True) -> bool:
-        """Whether some enclosure form puts the expression below cut
-        (at most cut when strict is False) on the whole box;
-        short-circuits across forms."""
-        ok = ((lambda hi: hi < cut) if strict else (lambda hi: hi <= cut))
-        if ok(self.expr.interval(env).hi):
-            return True
-        if ok(self._poly_interval(env).hi):
-            return True
-        if ok(self._mean_value_interval(env).hi):
-            return True
-        return any(ok(self._centered_interval(v, env).hi)
-                   for v in self._groups)
+        """Whether F or M puts the expression below cut (at most cut
+        when strict is False) on the whole box; M is only evaluated
+        when F fails."""
+        return self._below(*_ends(env), cut, strict)
+
+    def _below(self, lo: dict, hi: dict, cut: Fraction, strict: bool) -> bool:
+        ok = (lambda h: h < cut) if strict else (lambda h: h <= cut)
+        return (ok(_range(self._table.terms, lo, hi, min, max)[1])
+                or ok(_mean_value(self._table, lo, hi, min, max)[1]))
 
     def value(self, point: Dict[str, Fraction]) -> Fraction:
         return self.expr.value(point)
@@ -345,92 +342,25 @@ class Constraint:
         return v > 0 if self.kind == "gt" else v >= 0
 
 
-class _FloatKernel:
-    """Batched float upper bounds for a list of constraints.
+def _ends(env: Dict[str, Interval]) -> tuple:
+    return ({v: iv.lo for v, iv in env.items()},
+            {v: iv.hi for v, iv in env.items()})
 
-    Rows of (lo, hi) arrays describe candidate boxes; ``sups`` returns
-    one upper bound per box and constraint, the smallest over the same
-    enclosure forms the exact evaluation uses (factored, expanded
-    polynomial, and one centered form per variable).  Output steers
-    shaving and splitting only; nothing it reports is recorded without
-    exact confirmation."""
 
-    def __init__(self, variables: tuple, constraints: Sequence["Constraint"]):
-        self.variables = variables
-        index = {v: i for i, v in enumerate(variables)}
-        self.exprs = [c.expr for c in constraints]
-        self.polys = [[(float(coef), tuple(index[n] for n in mono))
-                       for mono, coef in c._poly.items()]
-                      for c in constraints]
-        self.groups = [
-            {index[v]: {k: [(float(coef), tuple(index[n] for n in rest))
-                            for coef, rest in terms]
-                        for k, terms in by_deg.items()}
-             for v, by_deg in c._groups.items()}
-            for c in constraints
-        ]
-
-    @staticmethod
-    def _mono(scale_lo, scale_hi, idxs, los, his):
-        """Interval product scale * prod(vars at idxs), elementwise."""
-        mlo, mhi = scale_lo, scale_hi
-        for i in idxs:
-            p1, p2 = mlo * los[:, i], mlo * his[:, i]
-            p3, p4 = mhi * los[:, i], mhi * his[:, i]
-            mlo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-            mhi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return mlo, mhi
-
-    def sups(self, los: np.ndarray, his: np.ndarray,
-             light: bool = False) -> np.ndarray:
-        """(B, dim) bounds in, (B, n_constraints) upper bounds out.
-        With ``light`` only the direct forms (factored and expanded
-        polynomial) are evaluated, skipping the mean value slop; a
-        coarser but cheaper screen."""
-        fenv = {v: (los[:, i], his[:, i]) for v, i in
-                zip(self.variables, range(los.shape[1]))}
-        mids = (los + his) * 0.5
-        halfw = (his - los) * 0.5
-        nb = los.shape[0]
-        out = np.empty((nb, len(self.exprs)))
-        for j, (expr, poly) in enumerate(zip(self.exprs, self.polys)):
-            acc = np.zeros(nb)
-            center = np.zeros(nb)
-            for coef, idxs in poly:
-                acc = acc + self._mono(coef, coef, idxs, los, his)[1]
-                if light:
-                    continue
-                term = np.full(nb, coef)
-                for i in idxs:
-                    term = term * mids[:, i]
-                center = center + term
-            if light:
-                out[:, j] = np.minimum(acc, expr.finterval(fenv)[1])
-                continue
-            best = np.minimum(acc, expr.finterval(fenv)[1])
-            slop = np.zeros(nb)
-            for i, by_deg in self.groups[j].items():
-                dlo = np.zeros(nb)
-                dhi = np.zeros(nb)
-                for k, terms in by_deg.items():
-                    if k == 0:
-                        continue
-                    for coef, rest in terms:
-                        tlo, thi = self._mono(float(k) * coef,
-                                              float(k) * coef,
-                                              rest, los, his)
-                        for _ in range(k - 1):
-                            p1, p2 = tlo * los[:, i], tlo * his[:, i]
-                            p3, p4 = thi * los[:, i], thi * his[:, i]
-                            tlo = np.minimum(np.minimum(p1, p2),
-                                             np.minimum(p3, p4))
-                            thi = np.maximum(np.maximum(p1, p2),
-                                             np.maximum(p3, p4))
-                        dlo = dlo + tlo
-                        dhi = dhi + thi
-                slop = slop + np.maximum(np.abs(dlo), np.abs(dhi)) * halfw[:, i]
-            out[:, j] = np.minimum(best, center + slop)
-        return out
+def _float_sups(constraints: Sequence[Constraint], variables: tuple,
+                los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """(B, dim) box bounds in, (B, n_constraints) float min(F.hi, M.hi)
+    out.  Steers shaving, splitting and scan order only; nothing it
+    reports is recorded without exact confirmation."""
+    lo = {v: los[:, i] for i, v in enumerate(variables)}
+    hi = {v: his[:, i] for i, v in enumerate(variables)}
+    out = np.empty((los.shape[0], len(constraints)))
+    for j, c in enumerate(constraints):
+        ft = c._ftable
+        out[:, j] = np.minimum(
+            _range(ft.terms, lo, hi, np.minimum, np.maximum)[1],
+            _mean_value(ft, lo, hi, np.minimum, np.maximum)[1])
+    return out
 
 
 @dataclass
@@ -552,9 +482,10 @@ class FeasiblePoint:
 @dataclass
 class Certificate:
     """Partition of the box into leaves, each discarded by one named
-    pruning constraint whose interval enclosure lies entirely below its
-    cut: a system constraint (cut = margin when strict, 0 otherwise) or
-    a derived combination of one (see _pruning_constraints)."""
+    pruning constraint whose factored or mean value enclosure lies
+    entirely below its cut: a system constraint (cut = margin when
+    strict, 0 otherwise) or a derived combination of one (see
+    _pruning_constraints)."""
 
     sid: str
     margin: Fraction
@@ -582,8 +513,10 @@ class Certificate:
                 env[v] = Interval(lo, hi)
                 piece *= hi - lo
             vol += piece
+            if cname not in cons:
+                return False
             c, cut = cons[cname]
-            if not c.interval(env).hi < cut:
+            if not c.sup(env) < cut:
                 return False
         root = F(1)
         for v, (lo, hi) in system.box.items():
@@ -626,7 +559,7 @@ def _pruning_constraints(system: System, margin: Fraction) -> list:
         if s.kind != "gt":
             continue
         for c in system.constraints:
-            if c is s or all(len(m) < 2 for m in c._poly):
+            if c is s or all(len(m) < 2 for _, m in c._table.monos):
                 continue
             base_cut = margin if c.kind == "gt" else F(0)
             for w in _COMBO_WEIGHTS:
@@ -661,7 +594,7 @@ def certify_infeasible(system, max_depth: int = 40,
     leaves: list = []
     state = {"nodes": 0, "depth": 0}
 
-    kernel = _FloatKernel(system.variables, [c for c, _ in pruning])
+    constraints = [c for c, _ in pruning]
     fcut_arr = np.array([float(cut) for _, cut in pruning])
     order = system.variables
     dim = len(order)
@@ -669,12 +602,13 @@ def certify_infeasible(system, max_depth: int = 40,
     def exact_eliminator(box: dict, hint: Optional[int] = None) -> Optional[str]:
         """Name of a pruning constraint whose exact enclosure is below
         its cut on the whole box, or None.  ``hint`` is tried first."""
-        env = {v: Interval(lo, hi) for v, (lo, hi) in box.items()}
+        lo = {v: a for v, (a, _) in box.items()}
+        hi = {v: b for v, (_, b) in box.items()}
         pairs = list(pruning)
         if hint is not None:
             pairs.insert(0, pairs.pop(hint))
         for c, cut in pairs:
-            if c.proves(env, cut):
+            if c._below(lo, hi, cut, True):
                 return c.name
         return None
 
@@ -686,7 +620,7 @@ def certify_infeasible(system, max_depth: int = 40,
     def eliminator(box: dict) -> Optional[str]:
         """Like exact_eliminator but float-screened first."""
         flo, fhi = _as_arrays(box)
-        sups = kernel.sups(flo[None, :], fhi[None, :])[0]
+        sups = _float_sups(constraints, order, flo[None, :], fhi[None, :])[0]
         screened = np.flatnonzero(sups < fcut_arr + _FUZZ)
         if screened.size == 0:
             return None
@@ -719,7 +653,7 @@ def certify_infeasible(system, max_depth: int = 40,
         rows_lo, rows_hi, labels = _slab_batch(flo, fhi)
         if not labels:
             return {}
-        sups = kernel.sups(np.array(rows_lo), np.array(rows_hi))
+        sups = _float_sups(constraints, order, np.array(rows_lo), np.array(rows_hi))
         dead = sups < fcut_arr + _FUZZ
         rows_dead = dead.any(axis=1)
         best: dict = {}
@@ -898,7 +832,6 @@ def grid_scan(system, resolution: int) -> GridScanResult:
         step = (hi - lo) / resolution
         coords[v] = [lo + step * i for i in range(resolution + 1)]
         fcoords[v] = np.array([float(c) for c in coords[v]])
-    kernel = _FloatKernel(system.variables, system.constraints)
     best = {"viol": None, "arg": None, "nodes": 0, "hint": 0}
 
     def fbounds(blocks: list) -> np.ndarray:
@@ -910,12 +843,12 @@ def grid_scan(system, resolution: int) -> GridScanResult:
                         for idx in blocks])
         his = np.array([[fcoords[v][idx[v][1]] for v in system.variables]
                         for idx in blocks])
-        sups = kernel.sups(los, his, light=True)
+        sups = _float_sups(system.constraints, system.variables, los, his)
         return np.clip(1e-9 - sups, 0.0, None).max(axis=1)
 
     def exact_prunes(idx: dict, target: Fraction) -> bool:
-        env = {v: Interval(coords[v][a], coords[v][b])
-               for v, (a, b) in idx.items()}
+        lo = {v: coords[v][a] for v, (a, _) in idx.items()}
+        hi = {v: coords[v][b] for v, (_, b) in idx.items()}
         order = list(range(len(system.constraints)))
         order.insert(0, order.pop(best["hint"]))
         for j in order:
@@ -923,7 +856,7 @@ def grid_scan(system, resolution: int) -> GridScanResult:
             cut = -target
             if c.kind == "gt" and target <= SMALL:
                 cut = F(0)
-            if c.proves(env, cut, strict=False):
+            if c._below(lo, hi, cut, False):
                 best["hint"] = j
                 return True
         return False

@@ -322,6 +322,18 @@ def test_criterion_09_certificates_and_grid(record_property):
     margin 1e-6 within depth 40 and 60 s; the resolution-200 lattice has
     strictly positive minimum violation for each; the weakened control
     system yields a feasible point."""
+    shapes = {"B3": (1443, 41, 8), "B5": (1071, 29, 4)}
+    grid_argmins = {
+        "B1": {"x": F(1, 2), "y": F(1, 2), "z": F(0), "beta": F(1, 2)},
+        "B2": {"x": F(11, 25), "y": F(41, 100), "z": F(31, 200),
+               "beta": F(793, 1200)},
+        "B3": {"x": F(67, 200), "y": F(67, 200), "z": F(33, 100),
+               "beta": F(53, 80)},
+        "B4": {"x": F(67, 200), "y": F(33, 100), "z": F(67, 200),
+               "beta": F(2, 3)},
+        "B5": {"x": F(73, 200), "y": F(17, 50), "z": F(3, 10),
+               "zeta": F(31, 200), "beta": F(167, 300)},
+    }
     details = []
     for sid in ALL_SYSTEMS:
         cert = certify_infeasible(sid)
@@ -330,8 +342,11 @@ def test_criterion_09_certificates_and_grid(record_property):
         assert cert.depth <= 40
         assert cert.millis < 60_000
         assert cert.verify()
+        if sid in shapes:
+            assert (len(cert.leaves), cert.nodes, cert.depth) == shapes[sid]
         scan = grid_scan(sid, 200)
         assert scan.min_violation > 0
+        assert scan.argmin == grid_argmins[sid]
         details.append(f"{sid}: depth {cert.depth}, "
                        f"grid min {float(scan.min_violation):.2e}")
     res = certify_infeasible("B1w")

@@ -91,7 +91,7 @@ def test_greedy_absorber_structure():
     G = complete_blowup(3, 30)
     rng = np.random.default_rng(4)
     ab = build_absorber(G, 0.1, rng, count=3)
-    assert ab.mode == "greedy" and ab.t == 2
+    assert ab.t == 2
     assert ab.capacity == 3
     verts = ab.vertices()
     # 3 gadgets, k cycles each, k vertices per cycle: 9 per part
@@ -156,25 +156,8 @@ def test_verify_absorber_preconditions():
     assert verify_absorber(G, ab, W)
 
 
-def test_faithful_mode_guards_sigma():
+def test_build_absorber_rejects_bad_t():
     G = complete_blowup(3, 30)
-    rng = np.random.default_rng(10)
-    with pytest.raises(PreconditionError):
-        build_absorber(G, 0.1, rng, mode="faithful", eta=0.05)
-    with pytest.raises(PreconditionError):
-        build_absorber(G, 0.1, rng, mode="faithful")  # eta missing
-    # a sigma below the sampling bound is accepted; at this scale the
-    # Poisson draw is almost surely empty, and an empty absorber still
-    # handles the empty leftover
-    ab = build_absorber(G, 5e-5, rng, mode="faithful", eta=0.5)
-    assert ab.mode == "faithful"
-    assert verify_absorber(G, ab, {1: [], 2: [], 3: []})
-
-
-def test_build_absorber_rejects_unknown_mode():
-    G = complete_blowup(3, 30)
-    with pytest.raises(PreconditionError):
-        build_absorber(G, 0.1, np.random.default_rng(11), mode="other")
     with pytest.raises(PreconditionError):
         build_absorber(G, 0.1, np.random.default_rng(11), t=5)
 

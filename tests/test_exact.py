@@ -92,14 +92,6 @@ def test_max_tiling_alive_mask_restricts():
         assert c[0] in alive[1] and c[1] in alive[2] and c[2] in alive[3]
 
 
-def test_matching_bound_gives_same_optimum():
-    G = random_min_degree(3, 5, [3, 3, 3], seed=9)
-    plain = max_tiling(G)
-    bounded = max_tiling(G, use_matching_bound=True)
-    assert plain.size == bounded.size
-    assert bounded.optimal
-
-
 def test_has_factor_and_memo():
     assert has_factor(complete_blowup(3, 3))
     G, _ = haggkvist_example(3, 1)

@@ -19,7 +19,7 @@ from ckblowup.inequality import (
     SMALL,
     System,
     Var,
-    _FloatKernel,
+    _float_sups,
     _pruning_constraints,
     certify_infeasible,
     grid_scan,
@@ -40,7 +40,6 @@ def test_interval_ops_exact():
     prod = a * b
     assert prod.lo == F(-1, 8) and prod.hi == F(1)
     assert (-a) == Interval(F(-1, 2), F(-1, 3))
-    assert a.intersect(b) == Interval(F(1, 3), F(1, 2))
     assert Interval.point(F(3, 7)) == Interval(F(3, 7), F(3, 7))
 
 
@@ -104,14 +103,7 @@ def test_every_enclosure_form_contains_sampled_values(sid):
     for _ in range(25):
         env = random_box(rng, system.variables)
         for c in system.constraints:
-            forms = [
-                c.expr.interval(env),
-                c._poly_interval(env),
-                c._mean_value_interval(env),
-                c.quick_interval(env),
-                c.interval(env),
-            ]
-            forms.extend(c._centered_interval(v, env) for v in c._groups)
+            forms = c.enclosures(env)
             for _ in range(4):
                 p = sample_point(rng, env)
                 val = c.value(p)
@@ -125,11 +117,13 @@ def test_proves_is_consistent_with_interval():
     for _ in range(40):
         env = random_box(rng, system.variables)
         for c in system.constraints:
-            cut = c.interval(env).hi + F(1, 1000)
-            assert c.proves(env, cut)
-            # some individual form realizes any proven cut
-            if c.proves(env, c.interval(env).hi):
-                raise AssertionError("proved a cut below the sharpest bound")
+            f, m = c.enclosures(env)
+            sup = c.sup(env)
+            assert sup == min(f.hi, m.hi)
+            assert c.proves(env, sup + F(1, 1000))
+            # proving is exactly "F or M below the cut"
+            assert not c.proves(env, sup)
+            assert c.proves(env, sup, strict=False)
 
 
 def test_proves_non_strict_boundary():
@@ -144,19 +138,16 @@ def test_float_kernel_tracks_exact_sups():
 
     system = lemma_system("B5")
     cons = system.constraints
-    kernel = _FloatKernel(system.variables, cons)
     rng = random.Random(9)
     for _ in range(10):
         env = random_box(rng, system.variables)
         lo = np.array([[float(env[v].lo) for v in system.variables]])
         hi = np.array([[float(env[v].hi) for v in system.variables]])
-        for light in (False, True):
-            sups = kernel.sups(lo, hi, light=light)[0]
-            for j, c in enumerate(cons):
-                exact = float(c.interval(env).hi)
-                # the kernel mirrors (a superset of) the exact forms, so
-                # up to roundoff it can only be looser
-                assert sups[j] >= exact - 1e-9
+        sups = _float_sups(cons, system.variables, lo, hi)[0]
+        for j, c in enumerate(cons):
+            # the float path evaluates the same two forms, so up to
+            # roundoff it agrees with the exact bound
+            assert sups[j] >= float(c.sup(env)) - 1e-9
 
 
 # -- the lemma systems ---------------------------------------------------
@@ -238,13 +229,17 @@ def test_derived_combinations_are_consequences():
     assert found == 0  # the tightened system really is empty
 
 
-@pytest.mark.parametrize("sid", ["B1", "B2", "B4"])
+# (leaves, nodes, depth) of each certificate at the default margin and depth
+SMALL_SHAPES = {"B1": (83, 1, 0), "B2": (131, 3, 1), "B4": (209, 3, 1)}
+
+
+@pytest.mark.parametrize("sid", sorted(SMALL_SHAPES))
 def test_certify_small_systems(sid):
     cert = certify_infeasible(sid)
     assert isinstance(cert, Certificate)
     assert cert.sid == sid
     assert cert.margin == F(1, 10**6)
-    assert cert.depth <= 40
+    assert (len(cert.leaves), cert.nodes, cert.depth) == SMALL_SHAPES[sid]
     assert cert.verify()
     vol = F(0)
     for items, name in cert.leaves:
@@ -277,6 +272,11 @@ def test_certificate_verify_rejects_tampering():
     swollen = tuple((v, (lo - 1, hi) if v == "x" else (lo, hi))
                     for v, (lo, hi) in items)
     assert not retag(cert, [(swollen, name)] + cert.leaves[1:]).verify()
+    # a leaf names no pruning constraint of the system
+    assert not retag(cert, [(items, "no-such")] + cert.leaves[1:]).verify()
+    # a leaf names a real constraint that does not prune it
+    assert name != "x-lb"
+    assert not retag(cert, [(items, "x-lb")] + cert.leaves[1:]).verify()
 
 
 def test_certify_feasible_control():
