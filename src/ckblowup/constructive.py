@@ -331,7 +331,6 @@ class Gadget:
 
 @dataclass
 class AbsorberSet:
-    t: int
     sigma: float
     absorbers: list
 
@@ -424,7 +423,6 @@ def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
 
 
 def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
-                   t: Optional[int] = None,
                    eta=None, count: Optional[int] = None,
                    max_retries: int = 50) -> AbsorberSet:
     """Absorbing structure with one absorber per unit of capacity.
@@ -435,10 +433,7 @@ def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
     """
     _require_rng(rng)
     k, n = G.k, G.n
-    if t is None:
-        t = k - 1
-    if t != k - 1:
-        raise PreconditionError("gadgets are built for t = k-1")
+    t = k - 1
     sig = Fraction(sigma)
     if not 0 < sig < 1:
         raise PreconditionError("sigma must lie in (0, 1)")
@@ -473,7 +468,7 @@ def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
         for ref in g.vertex_refs():
             avail[ref.part - 1][ref.index] = False
         gadgets.append(g)
-    return AbsorberSet(t, float(sigma), gadgets)
+    return AbsorberSet(float(sigma), gadgets)
 
 
 def _normalize_W(G: BlowupGraph, W) -> dict:

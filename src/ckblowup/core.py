@@ -14,8 +14,11 @@ Conventions, used consistently across the package:
   row intersections / row sums of boolean arrays;
 * a transversal cycle is a plain tuple of k indices whose position p
   (0-based) is the vertex index in part p+1;
+* the exact searches see a vertex set as k Python ints, bit i of entry
+  p-1 standing for vertex i of V_p, and read adjacency as rows of such
+  bitsets (``pair_bits``);
 * graphs are immutable once built.  Search code that deletes vertices
-  does so with explicit alive masks, never by rebuilding graphs.
+  clears bits of its vertex set, never rebuilds the graph.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ def part_before(k: int, i: int) -> int:
     return (i - 2) % k + 1
 
 
+def bit_rows(mat: np.ndarray) -> tuple:
+    """The rows of a 2-D boolean array as ints: bit w of entry u is mat[u, w]."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 class BlowupGraph:
     """Immutable spanning subgraph of C_k[n].
 
@@ -61,7 +70,7 @@ class BlowupGraph:
     vertex w of V_{i+1}.
     """
 
-    __slots__ = ("k", "n", "_adj")
+    __slots__ = ("k", "n", "_adj", "_bits")
 
     def __init__(self, k: int, n: int, adjacency: Sequence[np.ndarray]):
         if k < 3:
@@ -80,11 +89,21 @@ class BlowupGraph:
         self.k = k
         self.n = n
         self._adj = tuple(mats)
+        self._bits = None
 
     def pair_matrix(self, i: int) -> np.ndarray:
         """Adjacency of the pair (V_i, V_{i+1}), rows indexed by V_i."""
         self._check_part(i)
         return self._adj[i - 1]
+
+    def pair_bits(self, i: int) -> tuple:
+        """``pair_matrix(i)`` as bitsets ``(rows, cols)``: bit w of
+        ``rows[u]`` and bit u of ``cols[w]`` are set iff u ~ w.  Built for
+        all pairs on the first call."""
+        self._check_part(i)
+        if self._bits is None:
+            self._bits = tuple((bit_rows(m), bit_rows(m.T)) for m in self._adj)
+        return self._bits[i - 1]
 
     def _check_part(self, i: int) -> None:
         if not 1 <= i <= self.k:

@@ -7,9 +7,13 @@ the reference implementation for the randomized pipeline.  Conventions:
 * Searches are deterministic.  Vertices are scanned in increasing index
   order, parts in increasing label order, so optima and witnesses are
   reproducible.
-* Optional ``alive`` arguments restrict a search to an induced subgraph;
-  they accept a dict mapping parts to index iterables or a list of k
-  boolean masks.  Graphs are never copied.
+* A vertex set is k Python ints, bit i of entry p-1 standing for vertex
+  i of V_p; adjacency is read through ``BlowupGraph.pair_bits``.
+  Optional ``alive`` arguments restrict a search to an induced subgraph;
+  they accept a dict mapping parts to index iterables or such k ints.
+  Graphs are never copied.
+* Searches run on an explicit stack, so their depth is not limited by
+  Python's recursion limit.
 * ``time_budget_ms`` is wall clock.  Exhausting it degrades the result
   to ``optimal=False`` (the returned object is still valid), it never
   raises.
@@ -19,14 +23,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
-from .core import BlowupGraph, PreconditionError, VertexRef, validate_tiling
+from .core import BlowupGraph, PreconditionError, VertexRef
 
 
 class InfeasibleSizeError(Exception):
@@ -36,22 +38,28 @@ class InfeasibleSizeError(Exception):
     """
 
 
-def _alive_masks(G: BlowupGraph, alive) -> list:
-    """Normalize an alive-vertex specification to k boolean masks."""
+def _low(bits: int) -> int:
+    """Index of the lowest set bit of a nonzero int."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _alive_bits(G: BlowupGraph, alive) -> list:
+    """Normalize an alive-vertex specification to k bitsets."""
+    full = (1 << G.n) - 1
     if alive is None:
-        return [np.ones(G.n, dtype=bool) for _ in range(G.k)]
+        return [full] * G.k
     if isinstance(alive, dict):
-        masks = []
-        for i in range(1, G.k + 1):
-            m = np.zeros(G.n, dtype=bool)
-            for idx in alive.get(i, ()):
-                m[idx] = True
-            masks.append(m)
-        return masks
-    masks = [np.array(m, dtype=bool, copy=True) for m in alive]
-    if len(masks) != G.k or any(m.shape != (G.n,) for m in masks):
-        raise PreconditionError("alive masks must be k arrays of length n")
-    return masks
+        bits = [0] * G.k
+        for part in range(1, G.k + 1):
+            for idx in alive.get(part, ()):
+                v = VertexRef(part, int(idx))
+                G._check_vertex(v)
+                bits[part - 1] |= 1 << v.index
+        return bits
+    bits = list(alive)
+    if len(bits) != G.k or not all(isinstance(b, int) and 0 <= b <= full for b in bits):
+        raise PreconditionError("alive bitsets must be k ints in [0, 2**n)")
+    return bits
 
 
 def _as_vertex_list(Z) -> list:
@@ -69,27 +77,21 @@ def _cycles_through(G: BlowupGraph, avail, u: int):
     """Yield transversal cycles (as index k-tuples) through vertex u of
     V_1, using only available vertices, in lexicographic order."""
     k = G.k
-    back = G.pair_matrix(k)[:, u]  # adjacency of V_k towards u
+    back = G.pair_bits(k)[1][u]  # V_k vertices adjacent to u
 
     def rec(p, prev_idx, chosen):
-        mask = G.pair_matrix(p - 1)[prev_idx] & avail[p - 1]
+        mask = G.pair_bits(p - 1)[0][prev_idx] & avail[p - 1]
         if p == k:
-            mask = mask & back
-            for w in np.flatnonzero(mask):
-                yield chosen + (int(w),)
-        else:
-            for w in np.flatnonzero(mask):
-                yield from rec(p + 1, int(w), chosen + (int(w),))
+            mask &= back
+        while mask:
+            w = _low(mask)
+            mask &= mask - 1
+            if p == k:
+                yield chosen + (w,)
+            else:
+                yield from rec(p + 1, w, chosen + (w,))
 
     yield from rec(2, u, (u,))
-
-
-def _first_cycle(G: BlowupGraph, avail) -> Optional[tuple]:
-    """Lowest transversal cycle over the available vertices, or None."""
-    for u in np.flatnonzero(avail[0]):
-        for c in _cycles_through(G, avail, int(u)):
-            return c
-    return None
 
 
 def _greedy_packing(G: BlowupGraph, avail) -> list:
@@ -97,22 +99,19 @@ def _greedy_packing(G: BlowupGraph, avail) -> list:
 
     Scans V_1 in increasing order; each vertex contributes the lowest
     cycle through it that avoids previously packed vertices, if any.
-    The masks are restored before returning.
+    Works on a copy of ``avail``.
     """
+    avail = list(avail)
     packed = []
-    touched = []
-    for u in np.flatnonzero(avail[0].copy()):
-        u = int(u)
-        if not avail[0][u]:
-            continue
-        for c in _cycles_through(G, avail, u):
+    free = avail[0]
+    while free:
+        u = _low(free)
+        free &= free - 1
+        c = next(_cycles_through(G, avail, u), None)
+        if c is not None:
             packed.append(c)
             for p, idx in enumerate(c):
-                avail[p][idx] = False
-                touched.append((p, idx))
-            break
-    for p, idx in touched:
-        avail[p][idx] = True
+                avail[p] &= ~(1 << idx)
     return packed
 
 
@@ -145,89 +144,80 @@ def max_tiling(
     result is flagged optimal only if ``stop_at`` is also a valid upper
     bound (it equals or exceeds the least available part size).
     """
-    avail = _alive_masks(G, alive)
-    counts = [int(m.sum()) for m in avail]
-    hard_cap = min(counts)
+    avail = tuple(_alive_bits(G, alive))
+    hard_cap = min(a.bit_count() for a in avail)
     target = hard_cap if stop_at is None else min(stop_at, hard_cap)
 
     start = time.monotonic()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
-    state = {"best": [], "nodes": 0, "timed_out": False, "done": False}
-    current = []
+    best: list = []
+    nodes = 0
+    timed_out = done = False
 
-    def dfs():
-        state["nodes"] += 1
-        if deadline is not None and state["nodes"] % 64 == 0:
-            if time.monotonic() > deadline:
-                state["timed_out"] = True
-        if state["timed_out"] or state["done"]:
-            return
-        if len(current) > len(state["best"]):
-            state["best"] = list(current)
-            if len(current) >= target:
-                state["done"] = True
-                return
-        bound = len(current) + min(counts)
-        if bound <= len(state["best"]):
-            return
-        free = np.flatnonzero(avail[0])
-        if free.size == 0:
-            return
-        u = int(free[0])
-        # branch: cycles through u
+    def branches(avail):
+        """Children of a node: one per cycle through the lowest available
+        vertex u of V_1, then the one leaving u uncovered (cycle None)."""
+        u = _low(avail[0])
         for c in _cycles_through(G, avail, u):
-            for p, idx in enumerate(c):
-                avail[p][idx] = False
-                counts[p] -= 1
-            current.append(c)
-            dfs()
-            current.pop()
-            for p, idx in enumerate(c):
-                avail[p][idx] = True
-                counts[p] += 1
-            if state["timed_out"] or state["done"]:
-                return
-        # branch: leave u uncovered
-        avail[0][u] = False
-        counts[0] -= 1
-        dfs()
-        avail[0][u] = True
-        counts[0] += 1
+            yield tuple(a & ~(1 << i) for a, i in zip(avail, c)), c
+        yield (avail[0] & ~(1 << u),) + avail[1:], None
 
-    dfs()
+    # A frame is (depth, remaining branches).  ``current`` is the tiling
+    # of the node being visited; it is cut back to the frame's depth
+    # before each child is entered, so frames need not copy it.  The
+    # last branch (cycle None) pops its frame before it is visited.
+    current: list = []
+    stack: list = [(0, iter([(avail, None)]))]
+    while stack:
+        depth, it = stack[-1]
+        child = next(it, None)
+        if child is None or child[1] is None:
+            stack.pop()
+        if child is None:
+            continue
+        avail, c = child
+        del current[depth:]
+        if c is not None:
+            current.append(c)
+        nodes += 1
+        if deadline is not None and nodes % 64 == 0 and time.monotonic() > deadline:
+            timed_out = True
+            break
+        if len(current) > len(best):
+            best = list(current)
+            if len(current) >= target:
+                done = True
+                break
+        if avail[0] and len(current) + min(a.bit_count() for a in avail) > len(best):
+            stack.append((len(current), branches(avail)))
+
     millis = (time.monotonic() - start) * 1000.0
-    found = state["best"]
-    if state["timed_out"]:
+    if timed_out:
         optimal = False
-    elif state["done"]:
+    elif done:
         optimal = target >= hard_cap
     else:
         optimal = True
-    return MaxTilingResult(found, optimal, state["nodes"], millis)
+    return MaxTilingResult(best, optimal, nodes, millis)
 
 
 def has_factor(G: BlowupGraph, alive=None, memo: Optional[dict] = None) -> bool:
     """Whether the induced (sub)instance has a transversal cycle factor.
 
-    ``memo`` may be shared across calls; keys are the sorted alive
-    vertex tuples, so it must not be reused across distinct graphs.
+    ``memo`` may be shared across calls; keys are the k alive bitsets,
+    so it must not be reused across distinct graphs.
     """
-    masks = _alive_masks(G, alive)
-    counts = [int(m.sum()) for m in masks]
-    if len(set(counts)) != 1:
+    bits = _alive_bits(G, alive)
+    counts = {b.bit_count() for b in bits}
+    if len(counts) != 1:
         return False
-    c = counts[0]
+    c = counts.pop()
     if c == 0:
         return True
-    key = None
-    if memo is not None:
-        key = tuple(
-            (p + 1, int(i)) for p in range(G.k) for i in np.flatnonzero(masks[p])
-        )
-        if key in memo:
-            return memo[key]
-    res = max_tiling(G, alive=masks, stop_at=c)
-    out = res.size == c
+    key = tuple(bits)
+    if memo is not None and key in memo:
+        return memo[key]
+    out = max_tiling(G, alive=bits, stop_at=c).size == c
     if memo is not None:
         memo[key] = out
     return out
@@ -235,11 +225,11 @@ def has_factor(G: BlowupGraph, alive=None, memo: Optional[dict] = None) -> bool:
 
 def is_cover(G: BlowupGraph, Z, alive=None) -> bool:
     """True iff every transversal cycle (within the alive set) meets Z."""
-    masks = _alive_masks(G, alive)
+    bits = _alive_bits(G, alive)
     for v in _as_vertex_list(Z):
         G._check_vertex(v)
-        masks[v.part - 1][v.index] = False
-    return _first_cycle(G, masks) is None
+        bits[v.part - 1] &= ~(1 << v.index)
+    return not _greedy_packing(G, bits)
 
 
 @dataclass
@@ -270,87 +260,72 @@ def cover_number(
     n = G.n
     start = time.monotonic()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
-    best = {"size": n, "witness": [VertexRef(1, i) for i in range(n)]}
+    best_size, witness = n, [VertexRef(1, i) for i in range(n)]
     if upper_hint is not None and upper_hint < n:
-        best = {"size": upper_hint, "witness": None}
-    state = {"nodes": 0, "timed_out": False}
-    avail = _alive_masks(G, None)
+        best_size, witness = upper_hint, None
+    nodes = 0
+    timed_out = False
+
+    # A stack entry is a node still to visit: (avail, vertex added,
+    # parent depth).  ``chosen`` is the partial cover of the node being
+    # visited, cut back to the parent's depth before the vertex is added.
     chosen: list = []
-
-    def dfs():
-        state["nodes"] += 1
-        if deadline is not None and state["nodes"] % 32 == 0:
-            if time.monotonic() > deadline:
-                state["timed_out"] = True
-        if state["timed_out"]:
-            return
-        pack = _greedy_packing(G, avail)
-        if len(chosen) + len(pack) >= best["size"]:
-            return
-        if not pack:
-            best["size"] = len(chosen)
-            best["witness"] = sorted(chosen)
-            return
-        branch_cycle = pack[0]
-        for p, idx in enumerate(branch_cycle):
-            v = VertexRef(p + 1, idx)
+    stack: list = [(_alive_bits(G, None), None, 0)]
+    while stack:
+        avail, v, depth = stack.pop()
+        del chosen[depth:]
+        if v is not None:
             chosen.append(v)
-            avail[p][idx] = False
-            dfs()
-            chosen.pop()
-            avail[p][idx] = True
-            if state["timed_out"]:
-                return
+        nodes += 1
+        if deadline is not None and nodes % 32 == 0 and time.monotonic() > deadline:
+            timed_out = True
+            break
+        pack = _greedy_packing(G, avail)
+        if len(chosen) + len(pack) >= best_size:
+            continue
+        if not pack:
+            best_size, witness = len(chosen), sorted(chosen)
+            continue
+        # one child per vertex of the first packed cycle, that vertex
+        # joining the cover; pushed in reverse so the first is visited first
+        for p, idx in reversed(list(enumerate(pack[0]))):
+            child = list(avail)
+            child[p] &= ~(1 << idx)
+            stack.append((child, VertexRef(p + 1, idx), len(chosen)))
 
-    dfs()
     millis = (time.monotonic() - start) * 1000.0
-    return CoverResult(
-        best["size"], best["witness"], not state["timed_out"], state["nodes"], millis
-    )
+    return CoverResult(best_size, witness, not timed_out, nodes, millis)
 
 
 def independence_number(G: BlowupGraph) -> int:
     """Maximum independent set size, over all kn vertices.
 
     Any single part is independent, so the result is at least n.
-    Branch and bound on python-int bitmasks (include/exclude the lowest
-    candidate vertex, bound by candidate count).
+    Branch and bound on one bitset over all kn vertices (include/exclude
+    the lowest candidate vertex, bound by candidate count); vertex i of
+    V_p is bit (p-1)n + i.
     """
     k, n = G.k, G.n
-    total = k * n
-
-    def vid(part, idx):
-        return (part - 1) * n + idx
-
-    adj = [0] * total
+    adj = [0] * (k * n)
     for i in range(1, k + 1):
-        j = i % k + 1
-        mat = G.pair_matrix(i)
+        lo, hi = (i - 1) * n, (i % k) * n  # offsets of V_i and V_{i+1}
+        rows, cols = G.pair_bits(i)
         for u in range(n):
-            row = np.flatnonzero(mat[u])
-            if row.size:
-                a = vid(i, u)
-                for w in row:
-                    b = vid(j, int(w))
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
+            adj[lo + u] |= rows[u] << hi
+            adj[hi + u] |= cols[u] << lo
 
     best = n  # one part is always independent
-    full = (1 << total) - 1
-
-    def mis(cand: int, size: int):
-        nonlocal best
+    stack = [((1 << (k * n)) - 1, 0)]  # (candidates, size), include first
+    while stack:
+        cand, size = stack.pop()
         if cand == 0:
-            if size > best:
-                best = size
-            return
+            best = max(best, size)
+            continue
         if size + cand.bit_count() <= best:
-            return
-        v = (cand & -cand).bit_length() - 1
-        mis(cand & ~adj[v] & ~(1 << v), size + 1)
-        mis(cand & ~(1 << v), size)
-
-    mis(full, 0)
+            continue
+        v = _low(cand)
+        stack.append((cand & ~(1 << v), size))
+        stack.append((cand & ~adj[v] & ~(1 << v), size + 1))
     return best
 
 
@@ -414,13 +389,15 @@ def enumerate_linking(
     pools = [list(combinations(cands[p], slots[p])) for p in parts]
     for combo in product(*pools):
         chosen = {p: list(sel) for p, sel in zip(parts, combo)}
+        bits = [0] * k
+        for p in parts:
+            for idx in chosen[p]:
+                bits[p - 1] |= 1 << idx
         ok = True
         for base in {v, v2}:
-            masks = [np.zeros(n, dtype=bool) for _ in range(k)]
-            for p in parts:
-                masks[p - 1][chosen[p]] = True
-            masks[base.part - 1][base.index] = True
-            if not has_factor(G, alive=masks, memo=memo):
+            alive = list(bits)
+            alive[base.part - 1] |= 1 << base.index
+            if not has_factor(G, alive=alive, memo=memo):
                 ok = False
                 break
         if not ok:

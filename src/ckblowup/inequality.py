@@ -55,25 +55,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return self + (-other)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        prods = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(prods), max(prods))
-
-    @staticmethod
-    def point(v) -> "Interval":
-        v = Fraction(v)
-        return Interval(v, v)
-
 
 class Expr:
     """Tiny arithmetic AST over named variables and rational constants,

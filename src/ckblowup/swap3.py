@@ -26,8 +26,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BlowupGraph, PreconditionError, degree_profile
-from .exact import _alive_masks, _greedy_packing
+from .core import BlowupGraph, PreconditionError, bit_rows, degree_profile
+from .exact import _greedy_packing
 
 LABELS = ("A", "B", "C")
 PAIRS = ("AB", "AC", "BC")
@@ -130,12 +130,11 @@ class LabeledTiling:
     def greedy_fill(self) -> int:
         """Extend by the deterministic maximal packing of the uncovered
         induced subgraph (in original part space)."""
-        masks = [None, None, None]
-        for lab in LABELS:
-            masks[self.lab.part_of[lab] - 1] = self.unc[lab].copy()
+        in_part_order = sorted(LABELS, key=self.lab.part_of.get)
+        bits = bit_rows(np.array([self.unc[lab] for lab in in_part_order]))
         added = 0
-        for cyc in _greedy_packing(self.G, masks):
-            self.add_triangle(tuple(int(cyc[self.lab.part_of[lab] - 1]) for lab in LABELS))
+        for cyc in _greedy_packing(self.G, bits):
+            self.add_triangle(tuple(cyc[self.lab.part_of[lab] - 1] for lab in LABELS))
             added += 1
         return added
 

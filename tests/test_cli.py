@@ -8,7 +8,7 @@ import json
 import pytest
 
 from ckblowup.cli import build_parser, main
-from ckblowup.core import graph_from_json, graph_to_json, degree_profile
+from ckblowup.core import build_graph, graph_from_json, graph_to_json, degree_profile
 from ckblowup.generators import complete_blowup, haggkvist_example
 
 
@@ -119,6 +119,18 @@ def test_tile_exact(hagg_file, capsys):
     assert payload["optimal"] is True
     assert len(payload["witness"]) == 5
     assert payload["nodes_expanded"] >= 1
+
+
+def test_tile_exact_deep_search_exits_0(tmp_path, capsys):
+    # one disjoint triangle per index: the search is 1500 levels deep
+    n = 1500
+    path = tmp_path / "diag.json"
+    path.write_text(graph_to_json(build_graph(3, n, [(i, u, u) for i in (1, 2, 3)
+                                                     for u in range(n)])))
+    assert main(["tile", str(path), "--exact"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["size"] == n
+    assert payload["optimal"] is True
 
 
 def test_tile_needs_exactly_one_mode(hagg_file, capsys):

@@ -91,7 +91,6 @@ def test_greedy_absorber_structure():
     G = complete_blowup(3, 30)
     rng = np.random.default_rng(4)
     ab = build_absorber(G, 0.1, rng, count=3)
-    assert ab.t == 2
     assert ab.capacity == 3
     verts = ab.vertices()
     # 3 gadgets, k cycles each, k vertices per cycle: 9 per part
@@ -154,12 +153,6 @@ def test_verify_absorber_preconditions():
     # vertex-list form works too
     W = [(p, free[p][0]) for p in (1, 2, 3)]
     assert verify_absorber(G, ab, W)
-
-
-def test_build_absorber_rejects_bad_t():
-    G = complete_blowup(3, 30)
-    with pytest.raises(PreconditionError):
-        build_absorber(G, 0.1, np.random.default_rng(11), t=5)
 
 
 def test_plan_sizes_accounting():

@@ -67,6 +67,19 @@ def test_max_tiling_complete_is_factor():
         assert validate_tiling(G, res.cycles) is None
 
 
+def test_max_tiling_deep_search_does_not_recurse():
+    n = 5000
+    res = max_tiling(complete_blowup(3, n))
+    assert res.size == n and res.optimal
+
+
+def test_max_tiling_search_tree_is_pinned():
+    G, _ = haggkvist_example(3, 1)
+    res = max_tiling(G)
+    assert res.size == 5 and res.optimal
+    assert res.nodes == 273
+
+
 def test_max_tiling_stop_at():
     G = complete_blowup(3, 4)
     res = max_tiling(G, stop_at=2)
@@ -92,6 +105,23 @@ def test_max_tiling_alive_mask_restricts():
         assert c[0] in alive[1] and c[1] in alive[2] and c[2] in alive[3]
 
 
+def test_alive_rejects_out_of_range_vertices():
+    G = complete_blowup(3, 4)
+    for bad in (-1, 4):
+        with pytest.raises(PreconditionError):
+            max_tiling(G, alive={1: [bad], 2: [0], 3: [0]})
+    for bits in ([15, 15], [15, 15, 15, 15], [15, 15, 16], [15, -1, 15]):
+        with pytest.raises(PreconditionError):
+            max_tiling(G, alive=bits)
+
+
+def test_alive_bitsets_match_dict_form():
+    G = complete_blowup(3, 4)
+    # bit i of entry p-1 is vertex i of V_p
+    assert max_tiling(G, alive=[0b0011, 0b0111, 0b1010]).cycles == \
+        max_tiling(G, alive={1: [0, 1], 2: [0, 1, 2], 3: [1, 3]}).cycles
+
+
 def test_has_factor_and_memo():
     assert has_factor(complete_blowup(3, 3))
     G, _ = haggkvist_example(3, 1)
@@ -99,6 +129,9 @@ def test_has_factor_and_memo():
     assert not has_factor(G, memo=memo)
     assert not has_factor(G, memo=memo)  # second call hits the memo
     assert memo
+    for key in memo:
+        assert isinstance(key, tuple) and len(key) == G.k
+        assert all(isinstance(b, int) for b in key)
 
 
 def test_is_cover_accepts_part_and_rejects_point():
@@ -120,6 +153,8 @@ def test_cover_number_tight_example():
     res = cover_number(G)
     assert res.optimal and res.size == 5  # n - 1
     assert is_cover(G, res.witness)
+    assert res.nodes == 16
+    assert res.witness == [(1, 4), (1, 5), (2, 4), (2, 5), (3, 5)]
 
 
 def test_cover_number_upper_hint_skips_witness():
@@ -149,6 +184,8 @@ def test_independence_number():
     G, _ = haggkvist_example(3, 1)
     alpha = independence_number(G)
     assert alpha >= G.n
+    # the include branch runs n levels deep
+    assert independence_number(complete_blowup(3, 1000)) == 1000
 
 
 def test_linking_pattern_walks_forward():
@@ -233,6 +270,13 @@ def test_is_linked_threshold_and_minimizer():
     assert res.count == 16
     strict = is_linked(G, Fraction(17, 16), 2)
     assert not strict.linked
+
+
+def test_is_linked_minimizer_is_pinned():
+    G = random_min_degree(4, 6, [4] * 4, seed=1)
+    res = is_linked(G, Fraction(1, 16000), 3)
+    assert res.pair == (VertexRef(3, 0), VertexRef(3, 5))
+    assert res.count == 41
 
 
 def test_is_linked_work_guard():

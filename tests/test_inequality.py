@@ -32,29 +32,9 @@ F = Fraction
 # -- interval arithmetic ------------------------------------------------
 
 
-def test_interval_ops_exact():
-    a = Interval(F(1, 3), F(1, 2))
-    b = Interval(F(-1, 4), F(2))
-    assert a + b == Interval(F(1, 12), F(5, 2))
-    assert a - b == Interval(F(1, 3) - 2, F(1, 2) + F(1, 4))
-    prod = a * b
-    assert prod.lo == F(-1, 8) and prod.hi == F(1)
-    assert (-a) == Interval(F(-1, 2), F(-1, 3))
-    assert Interval.point(F(3, 7)) == Interval(F(3, 7), F(3, 7))
-
-
 def test_interval_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         Interval(F(1), F(0))
-
-
-def test_interval_product_covers_sign_cases():
-    cases = [
-        (Interval(F(-2), F(-1)), Interval(F(-3), F(-2)), F(2), F(6)),
-        (Interval(F(-2), F(3)), Interval(F(-1), F(4)), F(-8), F(12)),
-    ]
-    for a, b, lo, hi in cases:
-        assert a * b == Interval(lo, hi)
 
 
 # -- expressions and constraints ----------------------------------------
