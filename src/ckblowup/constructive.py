@@ -9,9 +9,10 @@ Conventions shared by this module:
 * Vertex pools are dicts mapping parts to index lists; every randomized
   routine takes a ``numpy.random.Generator`` so runs are reproducible
   from a seed.
-* Degree thresholds are compared exactly (the float inputs are turned
-  into Fractions), so borderline pools are accepted or rejected
-  deterministically.
+* Degree thresholds are exact (the float inputs are turned into
+  Fractions), and an integer degree d is compared as d < ceil(need),
+  which holds iff d < need, so borderline pools are accepted or
+  rejected deterministically.
 * Rejection-sampled stages retry up to a bound and then raise
   StageFailure naming the stage; the driver never returns a tiling that
   fails validation.
@@ -95,12 +96,13 @@ def _degrees_into(G: BlowupGraph, vpart: int, tpart: int, tmask: np.ndarray) -> 
 def _check_pool_degrees(G, pools: dict, need: Fraction, label: str) -> list:
     """All violations of d(v, pool_i) >= need for v in the parts
     adjacent to i, as (part, neighbor part, vertex, degree)."""
+    lo = -(-need.numerator // need.denominator)  # ceil(need)
     bad = []
     for i, ids in pools.items():
         mask = _pool_mask(G, i, ids)
         for q in (part_before(G.k, i), part_after(G.k, i)):
             degs = _degrees_into(G, q, i, mask)
-            for v in np.flatnonzero(degs < need):
+            for v in np.flatnonzero(degs < lo):
                 bad.append((i, q, int(v), int(degs[v])))
                 if len(bad) >= 20:
                     return bad

@@ -23,7 +23,12 @@ Conventions, used consistently across the package:
 
 from __future__ import annotations
 
+import gc
 import json
+from array import array
+from contextlib import contextmanager
+from itertools import chain
+from numbers import Integral
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -163,18 +168,47 @@ class BlowupGraph:
 def build_graph(k: int, n: int, edges: Iterable[tuple]) -> BlowupGraph:
     """Build a graph from (i, u, w) triples, u in V_i adjacent to w in V_{i+1}.
 
-    Duplicate edges collapse silently; out-of-range parts or indices raise.
+    Duplicate edges collapse silently; non-integer entries, non-triples
+    and out-of-range parts or indices raise, naming the first bad edge.
     """
     if k < 3:
         raise PreconditionError(f"k must be >= 3, got {k}")
-    mats = [np.zeros((n, n), dtype=bool) for _ in range(k)]
-    for i, u, w in edges:
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
+    try:
+        flat = array("q", chain.from_iterable(edges))  # takes ints that fit int64
+        triples = set(map(len, edges)) <= {3}
+    except (TypeError, OverflowError):
+        triples = False
+    if not triples:
+        raise PreconditionError(_first_bad_edge(k, n, edges))
+    arr = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+    part, ends = arr[:, 0], arr[:, 1:]
+    bad = (part < 1) | (part > k) | (ends < 0).any(axis=1) | (ends >= n).any(axis=1)
+    if bad.any():
+        raise PreconditionError(_first_bad_edge(k, n, arr[bad.argmax():].tolist()))
+    adj = np.zeros((k, n, n), dtype=bool)
+    adj[part - 1, ends[:, 0], ends[:, 1]] = True
+    return BlowupGraph(k, n, adj)
+
+
+def _first_bad_edge(k: int, n: int, edges) -> str:
+    """The message for the first edge that is not an integer triple in range."""
+    for e in edges:
+        try:
+            t = tuple(e)
+        except TypeError:
+            t = None
+        if t is None or len(t) != 3 or not all(isinstance(x, Integral) for x in t):
+            return f"edge {e!r} is not a triple of integers (part, u, w)"
+        i, u, w = t
         if not 1 <= i <= k:
-            raise PreconditionError(f"edge part {i} out of range 1..{k}")
+            return f"edge part {i} out of range 1..{k}"
         if not (0 <= u < n and 0 <= w < n):
-            raise PreconditionError(f"edge ({i},{u},{w}) has index out of range 0..{n - 1}")
-        mats[i - 1][u, w] = True
-    return BlowupGraph(k, n, mats)
+            return f"edge ({i},{u},{w}) has index out of range 0..{n - 1}"
+    return "edges must be triples of integers (part, u, w)"
 
 
 def degree(G: BlowupGraph, v: VertexRef, j: int) -> int:
@@ -265,18 +299,36 @@ def uncovered(G: BlowupGraph, cycles: Sequence[Sequence[int]]) -> dict:
 # serialization
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its earlier state.
+
+    A graph file holds one small list per edge, none of them in a cycle;
+    a running collector would walk them all, again and again, while the
+    lists are built.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def graph_to_json_dict(G: BlowupGraph) -> dict:
-    return {
-        "format": JSON_FORMAT,
-        "k": G.k,
-        "n": G.n,
-        "edges": [[i, u, w] for (i, u, w) in G.edges()],
-    }
+    edges = []
+    for i in range(1, G.k + 1):
+        nz = np.argwhere(G.pair_matrix(i))  # row-major, the order of edges()
+        edges.extend(np.column_stack((np.full(len(nz), i), nz)).tolist())
+    return {"format": JSON_FORMAT, "k": G.k, "n": G.n, "edges": edges}
 
 
 def graph_to_json(G: BlowupGraph) -> str:
     """Canonical JSON text; loading and re-emitting is byte-identical."""
-    return json.dumps(graph_to_json_dict(G), sort_keys=True, separators=(",", ":")) + "\n"
+    with _gc_paused():
+        obj = graph_to_json_dict(G)
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def graph_from_json_dict(obj: dict) -> BlowupGraph:
@@ -288,11 +340,17 @@ def graph_from_json_dict(obj: dict) -> BlowupGraph:
     for key in ("k", "n", "edges"):
         if key not in obj:
             raise PreconditionError(f"graph JSON missing key {key!r}")
-    return build_graph(int(obj["k"]), int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    for key in ("k", "n"):
+        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
+            raise PreconditionError(f"graph JSON key {key!r} must be an integer")
+    if not isinstance(obj["edges"], list):
+        raise PreconditionError("graph JSON key 'edges' must be a list")
+    return build_graph(obj["k"], obj["n"], obj["edges"])
 
 
 def graph_from_json(text: str) -> BlowupGraph:
-    return graph_from_json_dict(json.loads(text))
+    with _gc_paused():
+        return graph_from_json_dict(json.loads(text))
 
 
 def graph_to_dot(G: BlowupGraph, blocks: Optional[dict] = None) -> str:

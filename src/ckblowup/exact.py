@@ -217,7 +217,11 @@ def has_factor(G: BlowupGraph, alive=None, memo: Optional[dict] = None) -> bool:
     key = tuple(bits)
     if memo is not None and key in memo:
         return memo[key]
-    out = max_tiling(G, alive=bits, stop_at=c).size == c
+    if c == 1:  # one vertex per part: a factor iff they close a cycle
+        out = all(G.pair_bits(p + 1)[0][_low(b)] & bits[(p + 1) % G.k]
+                  for p, b in enumerate(bits))
+    else:
+        out = max_tiling(G, alive=bits, stop_at=c).size == c
     if memo is not None:
         memo[key] = out
     return out

@@ -53,15 +53,33 @@ def max_matching_matrix(adj: np.ndarray, left: Sequence[int], right: Sequence[in
                     q.append(nxt)
         return found, dist
 
-    def dfs(u, dist) -> bool:
-        for w in nbr[u]:
-            nxt = match_r[w]
-            if nxt is None or (dist.get(nxt) == dist[u] + 1 and dfs(nxt, dist)):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        dist[u] = None
-        return False
+    def augment(root, dist) -> None:
+        """Depth-first search along the BFS layers for an augmenting path
+        from the free left vertex ``root``; flips the path if found.  The
+        stack holds (left vertex, its unscanned neighbours); ``taken[j]``
+        is the right vertex through which stack entry j reached entry
+        j + 1.  A left vertex that fails leaves the layers for the phase."""
+        stack = [(root, iter(nbr[root]))]
+        taken = []
+        while stack:
+            u, it = stack[-1]
+            for w in it:
+                nxt = match_r[w]
+                if nxt is None:
+                    taken.append(w)
+                    for (v, _), x in zip(stack, taken):
+                        match_l[v] = x
+                        match_r[x] = v
+                    return
+                if dist.get(nxt) == dist[u] + 1:
+                    taken.append(w)
+                    stack.append((nxt, iter(nbr[nxt])))
+                    break
+            else:
+                dist[u] = None
+                stack.pop()
+                if taken:
+                    taken.pop()
 
     while True:
         found, dist = bfs()
@@ -69,7 +87,7 @@ def max_matching_matrix(adj: np.ndarray, left: Sequence[int], right: Sequence[in
             break
         for u in left:
             if match_l[u] is None:
-                dfs(u, dist)
+                augment(u, dist)
     return {u: w for u, w in match_l.items() if w is not None}
 
 

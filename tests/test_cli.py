@@ -112,6 +112,13 @@ def test_wrong_payload_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_edge_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"edges": [[1, 0, 0], [1, 0.5, 0]], "format": "ckblowup/1", "k": 3, "n": 2}')
+    assert main(["check", str(bad)]) == 2
+    assert "edge [1, 0.5, 0] is not a triple of integers" in capsys.readouterr().err
+
+
 def test_tile_exact(hagg_file, capsys):
     assert main(["tile", hagg_file, "--exact"]) == 0
     payload = json.loads(capsys.readouterr().out)

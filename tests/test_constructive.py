@@ -2,23 +2,33 @@
 gadget absorbers and their absorption contract, the accounting plan, and
 the end-to-end driver on a small dense instance."""
 
+import hashlib
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ckblowup.core import BlowupGraph, PreconditionError, validate_tiling
+from ckblowup.core import (
+    BlowupGraph,
+    PreconditionError,
+    part_after,
+    part_before,
+    validate_tiling,
+)
 from ckblowup.constructive import (
     AbsorberSet,
     PoolConditionError,
     StageFailure,
+    _check_pool_degrees,
     _plan_sizes,
     asymp_factor,
     build_absorber,
     round_tiling,
     verify_absorber,
 )
-from ckblowup.generators import complete_blowup, haggkvist_example
+from ckblowup.generators import complete_blowup, haggkvist_example, random_min_degree
 
 
 def disjoint_pools(n, mk):
@@ -184,3 +194,40 @@ def test_asymp_factor_rejects_weak_instance():
         asymp_factor(G, 0.25, np.random.default_rng(13))
     with pytest.raises(PreconditionError):
         asymp_factor(complete_blowup(3, 90), 0.25, rng=99)
+
+
+def pool_degrees(G, pools):
+    """(part, neighbor part, vertex, degree) for every vertex of the parts
+    adjacent to each pool, in _check_pool_degrees's scan order."""
+    out = []
+    for i, ids in pools.items():
+        before, after = part_before(G.k, i), part_after(G.k, i)
+        degs = (G.pair_matrix(before)[:, ids].sum(axis=1),
+                G.pair_matrix(i)[ids, :].sum(axis=0))
+        for q, ds in zip((before, after), degs):
+            out.extend((i, q, v, d) for v, d in enumerate(ds.tolist()))
+    return out
+
+
+@pytest.mark.parametrize("need", [Fraction(7, 2), Fraction(4),
+                                  (1 + Fraction(1, 3) + Fraction(0.05)) * 3])
+def test_pool_degree_threshold_matches_fraction_reference(need):
+    G = random_min_degree(3, 12, [6, 6, 6], seed=5)
+    pools = {1: [0, 2, 4, 6, 8], 2: [1, 3, 5, 7, 9], 3: [0, 1, 2, 10, 11]}
+    degrees = pool_degrees(G, pools)
+    want = [row for row in degrees if row[3] < need][:20]  # Fraction comparison
+    assert _check_pool_degrees(G, pools, need, "U") == want
+    lo = math.ceil(need)  # the degrees on both sides of the threshold occur
+    assert {lo - 1, lo} <= {d for *_, d in degrees}
+
+
+@pytest.mark.parametrize("k,digest", [
+    (3, "f9455229b19df388b853a164cad9c98dc2ba63b07ea787c81b8f77eca8fae506"),
+    (4, "b69ebbebabfad17acc67a8a426d2d35a797bd1e74c0c0d520949b82c35c6de33"),
+])
+def test_asymp_factor_seeded_witness_is_pinned(k, digest):
+    delta = -(-(3 * k + 2) * 200 // (4 * k))  # ceil((1 + 1/k + 1/2) n / 2)
+    G = random_min_degree(k, 200, [delta] * k, seed=k)
+    res = asymp_factor(G, 0.25, np.random.default_rng(k))
+    text = json.dumps([list(c) for c in res.cycles], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,7 +1,9 @@
 """Data model sanity: adjacency symmetry, degree profiles, cycle and
 tiling validation, JSON round trips."""
 
+import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from ckblowup.core import (
     validate_cycle,
     validate_tiling,
 )
-from ckblowup.generators import complete_blowup
+from ckblowup.generators import complete_blowup, random_min_degree
 
 
 def tiny_graph():
@@ -149,6 +151,55 @@ def test_json_round_trip_is_canonical():
     assert graph_to_json(H) == text
     obj = json.loads(text)
     assert obj["format"] == "ckblowup/1"
+
+
+def test_json_edges_follow_edge_order():
+    G = random_min_degree(4, 9, [5] * 4, seed=2)
+    text = graph_to_json(G)
+    assert json.loads(text)["edges"] == [list(e) for e in G.edges()]
+    assert graph_from_json(text) == G
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(1, 0, 0), (1, 0.5, 0)], "edge (1, 0.5, 0) is not a triple of integers"),
+    ([(1, 0, 0), (1, "0", 0)], "edge (1, '0', 0) is not a triple of integers"),
+    ([(1, 0, 0), (1, None, 0)], "edge (1, None, 0) is not a triple of integers"),
+    ([(1, 0, 0), (1, 0)], "edge (1, 0) is not a triple of integers"),
+    ([(1, 0, 0, 0)], "edge (1, 0, 0, 0) is not a triple of integers"),
+    ([(1, 0, 0), 7], "edge 7 is not a triple of integers"),
+    ([(1, 0, 1), (4, 0, 0), (1, 0, 2)], "edge part 4 out of range 1..3"),
+    ([(1, 0, 1), (1, 0, 2), (4, 0, 0)], "edge (1,0,2) has index out of range 0..1"),
+    ([(2, -1, 0)], "edge (2,-1,0) has index out of range 0..1"),
+    ([(1, 0, 2**70)], "has index out of range 0..1"),
+])
+def test_build_graph_names_first_bad_edge(edges, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        build_graph(3, 2, edges)
+
+
+def test_json_rejects_malformed_edges_and_sizes():
+    for edges in ([[1, 0.5, 0]], [[1, 0]], [[1, True, None]], {"1": [0, 0]}):
+        text = json.dumps({"format": "ckblowup/1", "k": 3, "n": 2, "edges": edges})
+        with pytest.raises(PreconditionError):
+            graph_from_json(text)
+    for k, n in ((3.7, 2), ("3", 2), (3, 2.0), (3, True)):
+        text = json.dumps({"format": "ckblowup/1", "k": k, "n": n, "edges": []})
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            graph_from_json(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_failed_load_restores_gc_state(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(PreconditionError):
+            graph_from_json('{"format": "ckblowup/1", "k": 3, "n": 2, "edges": [[1, 0.5, 0]]}')
+        assert gc.isenabled() == enabled
+        graph_to_json(tiny_graph())
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_json_rejects_wrong_format():

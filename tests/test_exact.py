@@ -134,6 +134,23 @@ def test_has_factor_and_memo():
         assert all(isinstance(b, int) for b in key)
 
 
+@pytest.mark.parametrize("k,n", [(3, 5), (4, 4)])
+def test_has_factor_one_transversal_matches_max_tiling(k, n):
+    G = random_min_degree(k, n, [n // 2 + 1] * k, seed=7)
+    memo = {}
+    seen = set()
+    for c in product(range(n), repeat=k):
+        alive = {p + 1: [i] for p, i in enumerate(c)}
+        want = max_tiling(G, alive=alive).size == 1
+        assert has_factor(G, alive=alive) == want
+        assert has_factor(G, alive=alive, memo=memo) == want
+        seen.add(want)
+    assert seen == {True, False}
+    assert len(memo) == n ** k
+    for key in memo:
+        assert len(key) == k and all(isinstance(b, int) and b.bit_count() == 1 for b in key)
+
+
 def test_is_cover_accepts_part_and_rejects_point():
     G = complete_blowup(3, 3)
     assert is_cover(G, {1: [0, 1, 2]})

@@ -130,3 +130,16 @@ def test_simultaneous_matching_accepts_edge_lists():
     assert viol is None and len(matching) == n
     with pytest.raises(PreconditionError):
         simultaneous_matching([(0, 5)], edges, n)
+
+
+def test_matching_long_augmenting_path_does_not_recurse():
+    # left i sees right n-1-i and n-2-i; the lowest-index scan first
+    # matches i -> n-2-i, so the last free vertex must flip a path of
+    # length n
+    n = 1500
+    adj = np.zeros((n, n), dtype=bool)
+    idx = np.arange(n)
+    adj[idx, n - 1 - idx] = True
+    adj[idx[:-1], n - 2 - idx[:-1]] = True
+    m = max_matching_matrix(adj, range(n), range(n))
+    assert m == {i: n - 1 - i for i in range(n)}
