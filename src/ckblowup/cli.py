@@ -2,7 +2,7 @@
 
 Subcommands: generate (construction families to JSON), check (degree
 profile and threshold report), tile (exact, move-machine, or randomized
-pipeline), cover (minimum transversal cycle cover), linking (exhaustive
+pipeline), cover (minimum transversal cycle cover), linking (exact
 linkedness check), verify (inequality system certificates), experiment
 (threshold sweeps to CSV), and dot (Graphviz export).
 
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--out", default="-")
     cv.set_defaults(func=cmd_cover)
 
-    ln = sub.add_parser("linking", help="exhaustive linkedness check")
+    ln = sub.add_parser("linking", help="exact linkedness check")
     ln.add_argument("graph")
     ln.add_argument("--t", type=int, required=True)
     ln.add_argument("--eta", required=True, help="threshold coefficient (fraction ok)")

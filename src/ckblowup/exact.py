@@ -1,8 +1,14 @@
-"""Exhaustive oracles: maximum transversal tilings, transversal cycle
-covers, independent sets, and linking-sequence counts.
+"""Exact oracles: maximum transversal tilings, transversal cycle covers,
+independent sets, and linking-sequence counts.
 
 Everything here is correct by construction at small scale and doubles as
-the reference implementation for the randomized pipeline.  Conventions:
+the reference implementation for the randomized pipeline.  Linking
+counts come from two closed forms: for any t, the unions of (t+1)/k
+disjoint transversal cycles, listed once per graph
+(``union_linking_bits``); for t = k-1, a product of pair matrices along
+a transversal path (``path_linking_count``).  ``enumerate_linking``,
+which tests every candidate set with ``has_factor``, is the reference
+they are tested against.  Conventions:
 
 * Searches are deterministic.  Vertices are scanned in increasing index
   order, parts in increasing label order, so optima and witnesses are
@@ -27,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional
+
+import numpy as np
 
 from .core import BlowupGraph, PreconditionError, VertexRef
 
@@ -133,6 +141,7 @@ def max_tiling(
     *,
     alive=None,
     stop_at: Optional[int] = None,
+    upper_bound=None,
 ) -> MaxTilingResult:
     """Maximum transversal cycle tiling by depth-first branch and bound.
 
@@ -140,12 +149,24 @@ def max_tiling(
     the cycles through it and the option of leaving it uncovered, and
     prunes with the bound current size + least per-part availability.
 
+    ``upper_bound`` is a transversal cycle cover Z (any form ``is_cover``
+    takes); every cycle of a tiling meets Z in its own vertex, so no
+    tiling is larger than the alive part of Z, and the search stops at a
+    tiling of that size, which is then optimal.  A Z that is not a cover
+    raises PreconditionError.
+
     ``stop_at`` aborts as soon as a tiling of that size is found; the
     result is flagged optimal only if ``stop_at`` is also a valid upper
-    bound (it equals or exceeds the least available part size).
+    bound (it equals or exceeds the least available part size, or the
+    size of ``upper_bound``).
     """
     avail = tuple(_alive_bits(G, alive))
     hard_cap = min(a.bit_count() for a in avail)
+    if upper_bound is not None:
+        Z = set(_as_vertex_list(upper_bound))
+        if not is_cover(G, Z, alive=avail):
+            raise PreconditionError("upper_bound is not a transversal cycle cover")
+        hard_cap = min(hard_cap, sum(avail[v.part - 1] >> v.index & 1 for v in Z))
     target = hard_cap if stop_at is None else min(stop_at, hard_cap)
 
     start = time.monotonic()
@@ -339,10 +360,24 @@ def linking_pattern(k: int, base_part: int, t: int) -> list:
     return [(base_part - 1 + j) % k + 1 for j in range(1, t + 1)]
 
 
+def _linking_pair(G: BlowupGraph, v, v2) -> tuple:
+    """Check a same-part pair of vertices; return it as VertexRefs."""
+    v, v2 = VertexRef(*v), VertexRef(*v2)
+    if v.part != v2.part:
+        raise PreconditionError("linking endpoints must share a part")
+    G._check_vertex(v)
+    G._check_vertex(v2)
+    return v, v2
+
+
+def _check_linking_t(k: int, t: int) -> None:
+    if (t + 1) % k != 0:
+        raise PreconditionError(f"t+1 = {t + 1} must be divisible by k = {k}")
+
+
 @dataclass
 class LinkingCount:
     count: int
-    complete: bool
     sequences: Optional[list] = None
 
 
@@ -351,11 +386,10 @@ def enumerate_linking(
     v: VertexRef,
     v2: VertexRef,
     t: int,
-    cap: Optional[int] = None,
     collect: bool = False,
-    memo: Optional[dict] = None,
 ) -> LinkingCount:
-    """Exact count of linking sequences for the same-part pair (v, v2).
+    """Count of linking sequences for the same-part pair (v, v2), by
+    testing every candidate set; the reference for the closed forms.
 
     A linking sequence is an ordered t-tuple of distinct vertices, all
     different from v and v2, whose entries follow the cyclic part
@@ -364,19 +398,10 @@ def enumerate_linking(
     factor.  Since the factor condition depends only on the underlying
     vertex set, sets are enumerated once per part-wise combination and
     multiplied by the number of per-part orderings.
-
-    Stops early once ``cap`` sequences are confirmed (complete=False).
     """
     k, n = G.k, G.n
-    v, v2 = VertexRef(*v), VertexRef(*v2)
-    if v.part != v2.part:
-        raise PreconditionError("linking endpoints must share a part")
-    G._check_vertex(v)
-    G._check_vertex(v2)
-    if (t + 1) % k != 0:
-        raise PreconditionError(f"t+1 = {t + 1} must be divisible by k = {k}")
-    if memo is None:
-        memo = {}
+    v, v2 = _linking_pair(G, v, v2)
+    _check_linking_t(k, t)
     pattern = linking_pattern(k, v.part, t)
     slots = {p: pattern.count(p) for p in range(1, k + 1) if pattern.count(p)}
     parts = sorted(slots)
@@ -401,7 +426,7 @@ def enumerate_linking(
         for base in {v, v2}:
             alive = list(bits)
             alive[base.part - 1] |= 1 << base.index
-            if not has_factor(G, alive=alive, memo=memo):
+            if not has_factor(G, alive=alive):
                 ok = False
                 break
         if not ok:
@@ -415,9 +440,76 @@ def enumerate_linking(
                     for pos, idx in zip(part_positions[p], perm):
                         seq[pos] = VertexRef(p, idx)
                 seqs.append(tuple(seq))
-        if cap is not None and count >= cap:
-            return LinkingCount(count, False, seqs)
-    return LinkingCount(count, True, seqs)
+    return LinkingCount(count, seqs)
+
+
+def path_linking_count(G: BlowupGraph, v: VertexRef, v2: VertexRef) -> int:
+    """Exact count of linking sequences for the same-part pair (v, v2)
+    at t = k-1.
+
+    Such a sequence has one vertex in each other part, and adding v (or
+    v2) closes it into a transversal cycle: it is a path x_{i+1} ... x_{i-1}
+    through the parts after i whose ends are common neighbours of v and
+    v2.  So the count is a . A_{i+1} ... A_{i+k-2} . b, with a and b those
+    common neighbourhoods in V_{i+1} and V_{i-1} and A_p the pair
+    matrices.  Every partial count is at most n^(k-1); the products run
+    in int64 when that fits, and in Python ints otherwise.
+    """
+    k, n = G.k, G.n
+    v, v2 = _linking_pair(G, v, v2)
+    p = v.part
+    rows = G.pair_matrix(p)
+    vec = (rows[v.index] & rows[v2.index]).astype(np.int64 if n ** (k - 1) < 2**63 else object)
+    for _ in range(k - 2):
+        p = p % k + 1
+        vec = vec @ G.pair_matrix(p)
+    back = G.pair_matrix(p % k + 1)  # the pair (V_{i-1}, V_i)
+    return int(vec[back[:, v.index] & back[:, v2.index]].sum())
+
+
+def union_linking_bits(G: BlowupGraph, t: int) -> tuple:
+    """Linking sets of every vertex for any t, from the unions of
+    r = (t+1)/k disjoint transversal cycles.
+
+    A candidate set X of a vertex v of V_i has r-1 vertices in V_i and r
+    in every other part, so X + v has a transversal cycle factor exactly
+    when it is such a union.  The unions are listed once per graph, as
+    k-int bitsets.  Returns (bits, orderings): bit j of ``bits[i-1][a]``
+    is set when the j-th candidate set of part i (numbered per part)
+    plus vertex a of V_i is a union, and the count of the pair (a, b) of
+    V_i is ``(bits[i-1][a] & bits[i-1][b]).bit_count() * orderings``.
+    """
+    k, n = G.k, G.n
+    _check_linking_t(k, t)
+    r = (t + 1) // k
+    full = [(1 << n) - 1] * k
+    cycles = [tuple(1 << idx for idx in c)
+              for u in range(n) for c in _cycles_through(G, full, u)]
+    unions = set()
+    stack = [(0, (0,) * k, r)]  # (next cycle, union so far, cycles to add)
+    while stack:
+        start, union, left = stack.pop()
+        if left <= 0:
+            unions.add(union)
+            continue
+        for j in range(start, len(cycles)):
+            c = cycles[j]
+            if not any(map(int.__and__, union, c)):
+                stack.append((j + 1, tuple(map(int.__or__, union, c)), left - 1))
+
+    bits = [[0] * n for _ in range(k)]
+    for i in range(k):
+        index: dict = {}
+        for S in unions:
+            members = S[i]
+            while members:
+                a = _low(members)
+                members &= members - 1
+                X = S[:i] + (S[i] & ~(1 << a),) + S[i + 1:]
+                bits[i][a] |= 1 << index.setdefault(X, len(index))
+    pattern = linking_pattern(k, 1, t)
+    orderings = math.prod(math.factorial(pattern.count(p)) for p in range(1, k + 1))
+    return bits, orderings
 
 
 @dataclass
@@ -442,28 +534,37 @@ def _linking_work_estimate(G: BlowupGraph, t: int) -> int:
 
 def is_linked(G: BlowupGraph, eta, t: int, *, max_work: int = 20_000_000) -> LinkedResult:
     """Whether every same-part pair (v = v' allowed) has at least
-    eta * n^t linking sequences; reports the minimizing pair.
+    eta * n^t linking sequences; reports the minimizing pair (the first
+    in scan order among ties).
 
-    Raises InfeasibleSizeError when the exhaustive enumeration would
-    exceed ``max_work`` set-combinations, so an undecided instance is
-    never conflated with a negative answer.
+    Counts are exact: ``path_linking_count`` for t = k-1, the
+    intersections of ``union_linking_bits`` otherwise.  Raises
+    InfeasibleSizeError when the candidate sets of all pairs number more
+    than ``max_work``, so an undecided instance is never conflated with
+    a negative answer.
     """
-    n = G.n
+    k, n = G.k, G.n
     est = _linking_work_estimate(G, t)
     if est > max_work:
         raise InfeasibleSizeError(
             f"exhaustive linkedness check needs ~{est} combinations (> {max_work})"
         )
     threshold = Fraction(eta) * n**t
-    memo: dict = {}
+    if t == k - 1:
+        def count(i, a, b):
+            return path_linking_count(G, VertexRef(i, a), VertexRef(i, b))
+    else:
+        bits, orderings = union_linking_bits(G, t)
+
+        def count(i, a, b):
+            return (bits[i - 1][a] & bits[i - 1][b]).bit_count() * orderings
     min_pair = None
     min_count = None
-    for i in range(1, G.k + 1):
+    for i in range(1, k + 1):
         for a in range(n):
             for b in range(a, n):
-                v, v2 = VertexRef(i, a), VertexRef(i, b)
-                res = enumerate_linking(G, v, v2, t, memo=memo)
-                if min_count is None or res.count < min_count:
-                    min_count = res.count
-                    min_pair = (v, v2)
+                c = count(i, a, b)
+                if min_count is None or c < min_count:
+                    min_count = c
+                    min_pair = (VertexRef(i, a), VertexRef(i, b))
     return LinkedResult(Fraction(min_count) >= threshold, min_pair, min_count, threshold)

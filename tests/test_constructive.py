@@ -111,6 +111,15 @@ def test_greedy_absorber_structure():
         assert all(g.cycles[i][i] == anchors[i] for i in range(3))
 
 
+def test_build_absorber_spot_check_rejects_unlinked_pair():
+    # n = 30, t = 2: the bound eta*n^t = 900 is under the 5000 cap, and
+    # the first probe, (V_1[0], V_1[0]), lies on 290 transversal cycles
+    G = haggkvist_example(3, 5)[0]
+    with pytest.raises(PreconditionError,
+                       match=r"has only 290 linking sequences \(needs 900\)"):
+        build_absorber(G, 0.1, np.random.default_rng(0), eta=1)
+
+
 def test_gadget_absorb_cycles_cover_union():
     G = complete_blowup(3, 30)
     ab = build_absorber(G, 0.1, np.random.default_rng(5), count=1)

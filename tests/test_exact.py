@@ -18,6 +18,8 @@ from ckblowup.exact import (
     is_linked,
     linking_pattern,
     max_tiling,
+    path_linking_count,
+    union_linking_bits,
 )
 from ckblowup.generators import complete_blowup, haggkvist_example, random_min_degree
 
@@ -87,6 +89,32 @@ def test_max_tiling_stop_at():
     assert not res.optimal  # stopping early is not a proof of optimality
     res2 = max_tiling(G, stop_at=4)
     assert res2.size == 4 and res2.optimal
+
+
+def test_max_tiling_upper_bound_proves_optimal():
+    G, blocks = haggkvist_example(4, 1)
+    Z = {i: blocks[f"Z_{i}"] for i in range(1, 5)}
+    res = max_tiling(G, upper_bound=Z)
+    assert res.size == G.n - 1 and res.optimal
+    assert res.nodes == 9  # it stops there; without Z the search takes ~50 s
+    assert validate_tiling(G, res.cycles) is None
+    # only the alive vertices of Z count: dropping one of them from a
+    # (3,1) instance leaves a cover of size 4 below every part's size 5
+    H, blocks = haggkvist_example(3, 1)
+    Z3 = {i: blocks[f"Z_{i}"] for i in range(1, 4)}
+    alive = {1: [i for i in range(6) if i != Z3[1][0]], 2: range(6), 3: range(6)}
+    res = max_tiling(H, alive=alive, upper_bound=Z3)
+    assert res.size == 4 and res.optimal
+    assert res.nodes == 6  # an exhaustive search takes 268
+    # stop_at below the bound finds a tiling but proves nothing
+    res = max_tiling(G, upper_bound=Z, stop_at=2)
+    assert res.size == 2 and not res.optimal
+
+
+def test_max_tiling_rejects_non_cover_bound():
+    G, blocks = haggkvist_example(3, 1)
+    with pytest.raises(PreconditionError, match="not a transversal cycle cover"):
+        max_tiling(G, upper_bound={1: blocks["Z_1"]})
 
 
 def test_max_tiling_time_budget_reports_incomplete():
@@ -239,7 +267,6 @@ def test_enumerate_linking_matches_brute_force(seed):
     for a, b in ((0, 1), (2, 2)):
         v, v2 = VertexRef(1, a), VertexRef(1, b)
         got = enumerate_linking(G, v, v2, 2)
-        assert got.complete
         assert got.count == brute_linking_count(G, v, v2, 2)
 
 
@@ -247,11 +274,11 @@ def test_linking_complete_blowup_counts():
     # k=3, t=2: any pair of vertices from the two other parts links
     G = complete_blowup(3, 4)
     res = enumerate_linking(G, VertexRef(1, 0), VertexRef(1, 1), 2)
-    assert res.complete and res.count == 16
+    assert res.count == 16
     # k=4, t=3: one free vertex in each other part
     H = complete_blowup(4, 3)
     res4 = enumerate_linking(H, VertexRef(2, 0), VertexRef(2, 2), 3)
-    assert res4.complete and res4.count == 27
+    assert res4.count == 27
 
 
 def test_enumerate_linking_collects_valid_sequences():
@@ -264,11 +291,31 @@ def test_enumerate_linking_collects_valid_sequences():
         assert [r.part for r in seq] == [2, 3]
 
 
-def test_enumerate_linking_cap_stops_early():
-    G = complete_blowup(3, 5)
-    res = enumerate_linking(G, VertexRef(1, 0), VertexRef(1, 1), 2, cap=7)
-    assert not res.complete
-    assert res.count >= 7
+@pytest.mark.parametrize("k,n,t", [(3, 4, 2), (3, 4, 8), (4, 3, 3), (4, 3, 7),
+                                   (5, 3, 4), (5, 3, 9)])
+def test_linking_counts_match_enumeration(k, n, t):
+    G = random_min_degree(k, n, [n - 1] * k, seed=10 * k + t)
+    bits, orderings = union_linking_bits(G, t)
+    counts = set()
+    for i in range(1, k + 1):
+        for a in range(n):
+            for b in range(a, n):
+                v, v2 = VertexRef(i, a), VertexRef(i, b)
+                ref = enumerate_linking(G, v, v2, t, collect=True)
+                assert ref.count == len(ref.sequences)
+                assert (bits[i - 1][a] & bits[i - 1][b]).bit_count() * orderings == ref.count
+                if t == k - 1:
+                    assert path_linking_count(G, v, v2) == ref.count
+                counts.add(ref.count)
+    assert len(counts) > 1  # the instance tells pairs apart
+
+
+def test_path_linking_count_beyond_int64():
+    # every transversal path of the other 7 parts links; 520**7 > 2**63
+    G = complete_blowup(8, 520)
+    got = path_linking_count(G, VertexRef(3, 0), VertexRef(3, 1))
+    assert got == 520**7 > 2**63
+    assert type(got) is int
 
 
 def test_enumerate_linking_preconditions():
@@ -277,6 +324,10 @@ def test_enumerate_linking_preconditions():
         enumerate_linking(G, VertexRef(1, 0), VertexRef(2, 0), 2)
     with pytest.raises(PreconditionError):
         enumerate_linking(G, VertexRef(1, 0), VertexRef(1, 1), 3)
+    with pytest.raises(PreconditionError):
+        path_linking_count(G, VertexRef(1, 0), VertexRef(2, 0))
+    with pytest.raises(PreconditionError):
+        union_linking_bits(G, 3)
 
 
 def test_is_linked_threshold_and_minimizer():
