@@ -40,7 +40,6 @@ from .generators import (
 )
 from .inequality import (
     ALL_SYSTEMS,
-    Certificate,
     DepthExhaustedError,
     FeasiblePoint,
     certify_infeasible,
@@ -215,7 +214,11 @@ def cmd_cover(args) -> int:
 def cmd_linking(args) -> int:
     G = _load_graph(args.graph)
     try:
-        res = is_linked(G, Fraction(args.eta), args.t, max_work=args.max_work)
+        eta = Fraction(args.eta)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit(f"error: --eta must be a fraction, got {args.eta!r}")
+    try:
+        res = is_linked(G, eta, args.t, max_work=args.max_work)
     except InfeasibleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -236,7 +239,10 @@ def cmd_verify(args) -> int:
     systems = list(args.system)
     if systems == ["all"]:
         systems = list(ALL_SYSTEMS)
-    margin = Fraction(args.margin)
+    try:
+        margin = Fraction(args.margin)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit(f"error: --margin must be a fraction, got {args.margin!r}")
     reports = []
     worst = 0
     for sid in systems:

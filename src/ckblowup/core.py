@@ -119,26 +119,6 @@ class BlowupGraph:
         if not 0 <= v.index < self.n:
             raise PreconditionError(f"vertex index {v.index} out of range 0..{self.n - 1}")
 
-    def has_edge(self, u: VertexRef, w: VertexRef) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(w)
-        if w.part == part_after(self.k, u.part):
-            return bool(self._adj[u.part - 1][u.index, w.index])
-        if u.part == part_after(self.k, w.part):
-            return bool(self._adj[w.part - 1][w.index, u.index])
-        return False
-
-    def neighbor_mask(self, v: VertexRef, j: int) -> np.ndarray:
-        """Boolean mask over V_j of neighbours of v; j must be a part
-        consecutive to v's part."""
-        self._check_vertex(v)
-        self._check_part(j)
-        if j == part_after(self.k, v.part):
-            return self._adj[v.part - 1][v.index, :]
-        if j == part_before(self.k, v.part):
-            return self._adj[j - 1][:, v.index]
-        raise PreconditionError(f"parts {v.part} and {j} are not consecutive")
-
     def edges(self) -> Iterator[tuple]:
         """All edges as (i, u, w) with u in V_i, w in V_{i+1}, sorted."""
         for i in range(1, self.k + 1):
@@ -168,7 +148,7 @@ class BlowupGraph:
 def build_graph(k: int, n: int, edges: Iterable[tuple]) -> BlowupGraph:
     """Build a graph from (i, u, w) triples, u in V_i adjacent to w in V_{i+1}.
 
-    Duplicate edges collapse silently; non-integer entries, non-triples
+    Duplicate edges merge silently; non-integer entries, non-triples
     and out-of-range parts or indices raise, naming the first bad edge.
     """
     if k < 3:
@@ -209,24 +189,6 @@ def _first_bad_edge(k: int, n: int, edges) -> str:
         if not (0 <= u < n and 0 <= w < n):
             return f"edge ({i},{u},{w}) has index out of range 0..{n - 1}"
     return "edges must be triples of integers (part, u, w)"
-
-
-def degree(G: BlowupGraph, v: VertexRef, j: int) -> int:
-    """Number of neighbours of v in part j (j consecutive to v's part)."""
-    return int(G.neighbor_mask(v, j).sum())
-
-
-def common_neighborhood(G: BlowupGraph, S: Iterable[VertexRef], j: int):
-    """Vertices of V_j adjacent to every vertex of S.
-
-    Every element of S must lie in a part consecutive to j.  An empty S
-    returns all of V_j (the empty intersection convention).
-    """
-    G._check_part(j)
-    mask = np.ones(G.n, dtype=bool)
-    for v in S:
-        mask = mask & G.neighbor_mask(v, j)
-    return {VertexRef(j, int(i)) for i in np.flatnonzero(mask)}
 
 
 def degree_profile(G: BlowupGraph) -> DegreeProfile:
@@ -278,21 +240,6 @@ def validate_tiling(G: BlowupGraph, cycles: Sequence[Sequence[int]]) -> Optional
                 return f"vertex {idx} of part {p + 1} is used by two cycles"
             seen[p].add(idx)
     return None
-
-
-def uncovered(G: BlowupGraph, cycles: Sequence[Sequence[int]]) -> dict:
-    """Per-part sets of vertex indices not covered by the tiling.
-
-    The tiling must be valid; an invalid tiling raises PreconditionError.
-    """
-    msg = validate_tiling(G, cycles)
-    if msg is not None:
-        raise PreconditionError(f"invalid tiling: {msg}")
-    out = {}
-    for p in range(G.k):
-        used = {c[p] for c in cycles}
-        out[p + 1] = set(range(G.n)) - used
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Exact oracles: maximum transversal tilings, transversal cycle covers,
-independent sets, and linking-sequence counts.
+"""Exact oracles: maximum transversal tilings, transversal cycle covers
+and linking-sequence counts.
 
 Everything here is correct by construction at small scale and doubles as
 the reference implementation for the randomized pipeline.  Linking
@@ -322,38 +322,6 @@ def cover_number(
     return CoverResult(best_size, witness, not timed_out, nodes, millis)
 
 
-def independence_number(G: BlowupGraph) -> int:
-    """Maximum independent set size, over all kn vertices.
-
-    Any single part is independent, so the result is at least n.
-    Branch and bound on one bitset over all kn vertices (include/exclude
-    the lowest candidate vertex, bound by candidate count); vertex i of
-    V_p is bit (p-1)n + i.
-    """
-    k, n = G.k, G.n
-    adj = [0] * (k * n)
-    for i in range(1, k + 1):
-        lo, hi = (i - 1) * n, (i % k) * n  # offsets of V_i and V_{i+1}
-        rows, cols = G.pair_bits(i)
-        for u in range(n):
-            adj[lo + u] |= rows[u] << hi
-            adj[hi + u] |= cols[u] << lo
-
-    best = n  # one part is always independent
-    stack = [((1 << (k * n)) - 1, 0)]  # (candidates, size), include first
-    while stack:
-        cand, size = stack.pop()
-        if cand == 0:
-            best = max(best, size)
-            continue
-        if size + cand.bit_count() <= best:
-            continue
-        v = _low(cand)
-        stack.append((cand & ~(1 << v), size))
-        stack.append((cand & ~adj[v] & ~(1 << v), size + 1))
-    return best
-
-
 def linking_pattern(k: int, base_part: int, t: int) -> list:
     """Parts of the t entries of a linking sequence for a base vertex in
     ``base_part``: entry j lies in the part j steps after it cyclically."""
@@ -371,8 +339,9 @@ def _linking_pair(G: BlowupGraph, v, v2) -> tuple:
 
 
 def _check_linking_t(k: int, t: int) -> None:
-    if (t + 1) % k != 0:
-        raise PreconditionError(f"t+1 = {t + 1} must be divisible by k = {k}")
+    if t < k - 1 or (t + 1) % k != 0:
+        raise PreconditionError(
+            f"t = {t} must be at least k-1 = {k - 1} with t+1 divisible by k = {k}")
 
 
 @dataclass
@@ -541,15 +510,19 @@ def is_linked(G: BlowupGraph, eta, t: int, *, max_work: int = 20_000_000) -> Lin
     intersections of ``union_linking_bits`` otherwise.  Raises
     InfeasibleSizeError when the candidate sets of all pairs number more
     than ``max_work``, so an undecided instance is never conflated with
-    a negative answer.
+    a negative answer.  Requires eta > 0.
     """
     k, n = G.k, G.n
+    eta = Fraction(eta)
+    if eta <= 0:
+        raise PreconditionError(f"eta = {eta} must be positive")
+    _check_linking_t(k, t)
     est = _linking_work_estimate(G, t)
     if est > max_work:
         raise InfeasibleSizeError(
             f"exhaustive linkedness check needs ~{est} combinations (> {max_work})"
         )
-    threshold = Fraction(eta) * n**t
+    threshold = eta * n**t
     if t == k - 1:
         def count(i, a, b):
             return path_linking_count(G, VertexRef(i, a), VertexRef(i, b))

@@ -16,28 +16,18 @@ Contains the two extremal constructions used throughout:
   whose triangle cover number is at most (1 - 3/n)n = n - 3: the blocks
   A_0, B_0, C_0 meet every transversal triangle.
 
-plus uniform-random instances with prescribed bipartite minimum degrees,
-and the collapse reduction that removes one part by contracting a perfect
-matching, lifting tilings back through the contraction.
+plus uniform-random instances with prescribed bipartite minimum degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    BlowupGraph,
-    PreconditionError,
-    VertexRef,
-    degree_profile,
-    part_after,
-    part_before,
-)
-from .matching import hall_violator, max_matching
+from .core import BlowupGraph, PreconditionError, part_after
 
 
 def complete_blowup(k: int, n: int) -> BlowupGraph:
@@ -210,134 +200,3 @@ def random_min_degree(k: int, n: int, deltas: Sequence[int], seed: int) -> Blowu
             m[rng.choice(n, size=d, replace=False), w] = True
         mats.append(m)
     return BlowupGraph(k, n, mats)
-
-
-@dataclass
-class CollapseMap:
-    """Lift data for one collapse of the pair (V_i, V_{i+1}).
-
-    ``partner[w]`` is the V_i vertex matched to (and merged into) the
-    V_{i+1} vertex w.  ``part_map`` sends new part labels 1..k-1 to the
-    old labels, ``merged_new_part`` is the new label of the merged part.
-    """
-
-    k_old: int
-    removed_part: int
-    partner: dict
-    part_map: dict
-    merged_new_part: int
-
-    def lift_cycle(self, cycle) -> tuple:
-        old = {}
-        for pos, idx in enumerate(cycle):
-            old[self.part_map[pos + 1]] = idx
-        merged_old = self.part_map[self.merged_new_part]
-        old[self.removed_part] = self.partner[old[merged_old]]
-        return tuple(old[p] for p in range(1, self.k_old + 1))
-
-    def lift_tiling(self, cycles):
-        return [self.lift_cycle(c) for c in cycles]
-
-
-@dataclass
-class ReduceResult:
-    graph: BlowupGraph
-    ell: int
-    collapsed_parts: list  # original part labels, in collapse order
-    maps: list  # CollapseMap per step, innermost last
-
-    def lift_tiling(self, cycles):
-        for cmap in reversed(self.maps):
-            cycles = cmap.lift_tiling(cycles)
-        return cycles
-
-
-def collapse(G: BlowupGraph, i: int, matching: dict):
-    """Contract a perfect matching of G[V_i, V_{i+1}] into V_{i+1}.
-
-    ``matching`` maps each V_i index to its partner in V_{i+1} and must be
-    a perfect matching along edges of G.  The result is a blow-up of
-    C_{k-1} on the parts other than V_i, where the merged vertex w keeps
-    its own neighbours towards V_{i+2} and inherits its partner's
-    neighbours towards V_{i-1}; a transversal cycle of the reduced graph
-    lifts to one of G by re-inserting the partner vertex.
-
-    Returns (reduced graph, CollapseMap).
-    """
-    k, n = G.k, G.n
-    if k <= 3:
-        raise PreconditionError(f"collapse needs k >= 4, got k={k}")
-    G._check_part(i)
-    j = part_after(k, i)
-    if sorted(matching.keys()) != list(range(n)) or sorted(matching.values()) != list(range(n)):
-        raise PreconditionError("matching must be a bijection of V_i onto V_{i+1}")
-    adj = G.pair_matrix(i)
-    for x, w in matching.items():
-        if not adj[x, w]:
-            raise PreconditionError(f"matching pair ({x},{w}) is not an edge of pair {i}")
-    partner = {w: x for x, w in matching.items()}
-
-    old_parts = [p for p in range(1, k + 1) if p != i]
-    part_map = {newp: oldp for newp, oldp in enumerate(old_parts, start=1)}
-    new_of_old = {oldp: newp for newp, oldp in part_map.items()}
-    merged_new_part = new_of_old[j]
-
-    mats = []
-    prev = part_before(k, i)
-    for newp in range(1, k):
-        oldp = part_map[newp]
-        old_next = part_map[part_after(k - 1, newp)]
-        if oldp == prev and old_next == j:
-            # inherited pair: u in V_{i-1} ~ merged w iff u ~ partner[w]
-            base = G.pair_matrix(prev)  # (V_{i-1}, V_i)
-            perm = np.array([partner[w] for w in range(n)])
-            mats.append(base[:, perm])
-        else:
-            mats.append(G.pair_matrix(oldp))
-    reduced = BlowupGraph(k - 1, n, mats)
-    cmap = CollapseMap(k, i, partner, part_map, merged_new_part)
-    return reduced, cmap
-
-
-def collapse_with_least_matching(G: BlowupGraph, i: int):
-    """Collapse using the deterministic index-ordered maximum matching.
-
-    Raises with the failing pair named if G[V_i, V_{i+1}] has no perfect
-    matching (a Hall violator exists).
-    """
-    viol = hall_violator(G, i)
-    if viol is not None:
-        raise PreconditionError(
-            f"pair ({i},{part_after(G.k, i)}) has no perfect matching; "
-            f"Hall violator of size {len(viol)}"
-        )
-    return collapse(G, i, max_matching(G, i))
-
-
-def reduce_small_deltas(G: BlowupGraph, eps: Fraction) -> ReduceResult:
-    """Collapse away every part whose pair degree is below (1+eps)n/2.
-
-    Let I = {i : delta_i < (1+eps)n/2}, computed once from the exact
-    degree profile.  Parts are collapsed in increasing order of i, each
-    time contracting a perfect matching of the current pair (i, i+1) into
-    part i+1.  Requires the result to still be a cycle blow-up, i.e.
-    ell = k - |I| >= 3.
-    """
-    eps = Fraction(eps)
-    prof = degree_profile(G)
-    n = G.n
-    I = [i + 1 for i, d in enumerate(prof.deltas) if 2 * d < (1 + eps) * n]
-    ell = G.k - len(I)
-    if ell < 3:
-        raise PreconditionError(
-            f"collapsing parts {I} would leave ell={ell} < 3 parts"
-        )
-    maps = []
-    current = G
-    shift = 0  # parts already removed below the next target
-    for orig in I:
-        cur_i = orig - shift
-        current, cmap = collapse_with_least_matching(current, cur_i)
-        maps.append(cmap)
-        shift += 1
-    return ReduceResult(current, ell, list(I), maps)

@@ -214,8 +214,25 @@ def test_linking(tmp_path, capsys):
 def test_linking_bad_t(tmp_path, capsys):
     path = tmp_path / "c34.json"
     path.write_text(graph_to_json(complete_blowup(3, 4)))
-    assert main(["linking", str(path), "--t", "3", "--eta", "1"]) == 2
-    capsys.readouterr()
+    for t in ("3", "-1"):
+        assert main(["linking", str(path), "--t", t, "--eta", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: t = ")
+
+
+def test_linking_bad_eta(tmp_path, capsys):
+    path = tmp_path / "c34.json"
+    path.write_text(graph_to_json(complete_blowup(3, 4)))
+    for eta in ("-1", "0", "abc", "1/0"):
+        assert main(["linking", str(path), "--t", "2", "--eta", eta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_verify_malformed_margin_exits_2(capsys):
+    for margin in ("abc", "1/0"):
+        assert main(["verify", "--system", "B1", "--margin", margin]) == 2
+        assert capsys.readouterr().err.startswith("error: --margin")
 
 
 def test_verify_feasible_relaxation_exits_1(capsys):

@@ -11,17 +11,13 @@ import pytest
 from ckblowup.core import (
     BlowupGraph,
     PreconditionError,
-    VertexRef,
     build_graph,
-    common_neighborhood,
-    degree,
     degree_profile,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     part_after,
     part_before,
-    uncovered,
     validate_cycle,
     validate_tiling,
 )
@@ -46,34 +42,6 @@ def test_part_arithmetic_is_cyclic():
             assert part_before(k, part_after(k, i)) == i
 
 
-def test_has_edge_agrees_with_both_orientations():
-    G = tiny_graph()
-    u = VertexRef(2, 1)
-    w = VertexRef(3, 1)
-    assert G.has_edge(u, w)
-    assert G.has_edge(w, u)
-    # non-consecutive parts never carry edges
-    assert not G.has_edge(VertexRef(1, 0), VertexRef(1, 1))
-
-
-def test_neighbor_mask_matches_transposed_matrix():
-    G = tiny_graph()
-    for i in range(1, 4):
-        j = part_after(3, i)
-        m = G.pair_matrix(i)
-        for idx in range(G.n):
-            fwd = G.neighbor_mask(VertexRef(i, idx), j)
-            assert np.array_equal(fwd, m[idx, :])
-            back = G.neighbor_mask(VertexRef(j, idx), i)
-            assert np.array_equal(back, m[:, idx])
-
-
-def test_neighbor_mask_rejects_far_part():
-    G = complete_blowup(4, 2)
-    with pytest.raises(PreconditionError):
-        G.neighbor_mask(VertexRef(1, 0), 3)
-
-
 def test_graph_is_immutable():
     G = tiny_graph()
     with pytest.raises(ValueError):
@@ -93,9 +61,6 @@ def test_constructor_rejects_bad_shapes():
 
 def test_degree_and_profile():
     G = tiny_graph()
-    assert degree(G, VertexRef(1, 0), 2) == 2
-    assert degree(G, VertexRef(2, 0), 1) == 2
-    assert degree(G, VertexRef(2, 0), 3) == 1
     prof = degree_profile(G)
     assert prof.deltas == (2, 1, 0)
     assert prof.delta_star == 0
@@ -106,15 +71,6 @@ def test_degree_profile_complete():
     prof = degree_profile(G)
     assert prof.deltas == (5, 5, 5, 5)
     assert prof.delta_star == 5
-
-
-def test_common_neighborhood():
-    G = tiny_graph()
-    S = [VertexRef(1, 0), VertexRef(3, 0)]
-    got = common_neighborhood(G, S, 2)
-    assert got == {VertexRef(2, 0)}
-    # empty S yields the whole part
-    assert common_neighborhood(G, [], 2) == {VertexRef(2, 0), VertexRef(2, 1)}
 
 
 def test_validate_cycle_reports_first_violation():
@@ -133,14 +89,6 @@ def test_validate_tiling_catches_reuse():
     assert validate_tiling(G, ok) is None
     bad = [(0, 0, 0), (0, 1, 1)]
     assert "two cycles" in validate_tiling(G, bad)
-
-
-def test_uncovered_sets():
-    G = complete_blowup(3, 3)
-    left = uncovered(G, [(0, 1, 2)])
-    assert left == {1: {1, 2}, 2: {0, 2}, 3: {0, 1}}
-    with pytest.raises(PreconditionError):
-        uncovered(G, [(0, 0, 0), (0, 1, 1)])
 
 
 def test_json_round_trip_is_canonical():

@@ -13,7 +13,6 @@ from ckblowup.exact import (
     cover_number,
     enumerate_linking,
     has_factor,
-    independence_number,
     is_cover,
     is_linked,
     linking_pattern,
@@ -219,20 +218,6 @@ def test_weak_duality_tiling_vs_cover(seed):
     assert t.size <= c.size
 
 
-def test_independence_number():
-    assert independence_number(complete_blowup(3, 3)) == 3
-    # no edges at all: every vertex fits
-    from ckblowup.core import build_graph
-
-    empty = build_graph(3, 2, [])
-    assert independence_number(empty) == 6
-    G, _ = haggkvist_example(3, 1)
-    alpha = independence_number(G)
-    assert alpha >= G.n
-    # the include branch runs n levels deep
-    assert independence_number(complete_blowup(3, 1000)) == 1000
-
-
 def test_linking_pattern_walks_forward():
     assert linking_pattern(3, 1, 2) == [2, 3]
     assert linking_pattern(3, 2, 5) == [3, 1, 2, 3, 1]
@@ -328,6 +313,17 @@ def test_enumerate_linking_preconditions():
         path_linking_count(G, VertexRef(1, 0), VertexRef(2, 0))
     with pytest.raises(PreconditionError):
         union_linking_bits(G, 3)
+    # t + 1 a non-positive multiple of k
+    for t in (-1, -4):
+        with pytest.raises(PreconditionError):
+            union_linking_bits(G, t)
+        with pytest.raises(PreconditionError):
+            enumerate_linking(G, VertexRef(1, 0), VertexRef(1, 1), t)
+        with pytest.raises(PreconditionError):
+            is_linked(G, Fraction(1), t)
+    for eta in (0, Fraction(-1)):
+        with pytest.raises(PreconditionError):
+            is_linked(G, eta, 2)
 
 
 def test_is_linked_threshold_and_minimizer():

@@ -1,30 +1,13 @@
 """Constructions and generators: the factor-free blow-up family, the
-small-cover triangle instance, random degree-constrained instances, and
-the collapse reduction with tiling lifts."""
+small-cover triangle instance, and random degree-constrained instances."""
 
 from fractions import Fraction
 
 import pytest
 
-from ckblowup.core import (
-    PreconditionError,
-    VertexRef,
-    degree,
-    degree_profile,
-    validate_tiling,
-)
+from ckblowup.core import PreconditionError, degree_profile
 from ckblowup.exact import is_cover, max_tiling
-from ckblowup.generators import (
-    CollapseMap,
-    collapse,
-    collapse_with_least_matching,
-    complete_blowup,
-    cover_example,
-    haggkvist_example,
-    random_min_degree,
-    reduce_small_deltas,
-)
-from ckblowup.matching import max_matching
+from ckblowup.generators import cover_example, haggkvist_example, random_min_degree
 
 
 @pytest.mark.parametrize("k,m", [(3, 1), (3, 2), (4, 1)])
@@ -129,65 +112,3 @@ def test_random_min_degree_validates_args():
         random_min_degree(3, 6, [3, 3], seed=0)
     with pytest.raises(PreconditionError):
         random_min_degree(3, 6, [3, 3, 7], seed=0)
-
-
-def test_collapse_lifts_cycles_back():
-    G = complete_blowup(4, 4)
-    reduced, cmap = collapse(G, 2, max_matching(G, 2))
-    assert reduced.k == 3 and reduced.n == 4
-    res = max_tiling(reduced)
-    assert res.size == 4
-    lifted = cmap.lift_tiling(res.cycles)
-    assert validate_tiling(G, lifted) is None
-    assert len(lifted) == 4
-    for c in lifted:
-        assert len(c) == 4
-
-
-def test_collapse_rejects_non_matching():
-    G = complete_blowup(4, 3)
-    with pytest.raises(PreconditionError):
-        collapse(G, 1, {0: 0, 1: 1})  # not a bijection
-    with pytest.raises(PreconditionError):
-        collapse(complete_blowup(3, 3), 1, {0: 0, 1: 1, 2: 2})  # k too small
-
-
-def test_collapse_respects_graph_edges():
-    # remove one matching edge so the identity matching is invalid
-    G0 = complete_blowup(4, 3)
-    mats = [G0.pair_matrix(i).copy() for i in range(1, 5)]
-    mats[0][1, 1] = False
-    from ckblowup.core import BlowupGraph
-
-    G = BlowupGraph(4, 3, mats)
-    with pytest.raises(PreconditionError):
-        collapse(G, 1, {0: 0, 1: 1, 2: 2})
-    # the deterministic collapse routes around the missing edge
-    reduced, cmap = collapse_with_least_matching(G, 1)
-    assert reduced.k == 3
-
-
-def test_reduce_small_deltas_collapses_weak_pairs():
-    # k=5; make pair 2 weak by thinning it, keep the rest complete
-    G0 = complete_blowup(5, 6)
-    mats = [G0.pair_matrix(i).copy() for i in range(1, 6)]
-    mats[1][:, :] = False
-    for u in range(6):
-        for w in range(u, u + 3):
-            mats[1][u, w % 6] = True
-    from ckblowup.core import BlowupGraph
-
-    G = BlowupGraph(5, 6, mats)
-    res = reduce_small_deltas(G, Fraction(1, 5))
-    assert res.collapsed_parts == [2]
-    assert res.graph.k == 4
-    tiling = max_tiling(res.graph).cycles
-    lifted = res.lift_tiling(tiling)
-    assert validate_tiling(G, lifted) is None
-
-
-def test_reduce_small_deltas_requires_three_parts_left():
-    G, _ = haggkvist_example(3, 1)
-    # every pair of the tight example is below (1+eps)n/2 for large eps
-    with pytest.raises(PreconditionError):
-        reduce_small_deltas(G, Fraction(9, 10))

@@ -1,19 +1,13 @@
 """Matching layer against a brute-force oracle on small instances, plus
-the Hall-violator certificate property."""
+a Hall-violator certificate that each matching is maximum."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from ckblowup.core import PreconditionError
-from ckblowup.generators import complete_blowup, random_min_degree
-from ckblowup.matching import (
-    hall_violator_matrix,
-    max_matching,
-    max_matching_matrix,
-    simultaneous_matching,
-)
+from ckblowup.generators import random_min_degree
+from ckblowup.matching import max_matching_matrix
 
 
 def brute_max_matching(adj, left, right):
@@ -66,70 +60,35 @@ def test_matching_is_deterministic():
 
 @pytest.mark.parametrize("seed", range(30))
 def test_hall_violator_certifies_deficiency(seed):
+    # the left vertices S reachable from unmatched ones by alternating
+    # paths have |N(S)| = |S| - (unmatched count) exactly when no
+    # augmenting path exists, so the matching is maximum
     rng = np.random.default_rng(2000 + seed)
     n = int(rng.integers(2, 8))
     adj = random_matrix(rng, n, float(rng.uniform(0.1, 0.6)))
-    left = list(range(n))
-    right = list(range(n))
-    S = hall_violator_matrix(adj, left, right)
-    matching = max_matching_matrix(adj, left, right)
-    if S is None:
-        assert len(matching) == n
-    else:
-        nbhd = set()
-        for u in S:
-            nbhd.update(np.flatnonzero(adj[u, :]).tolist())
-        assert len(nbhd) < len(S)
-
-
-def test_max_matching_on_graph_pair():
-    G = complete_blowup(3, 4)
-    m = max_matching(G, 2)
-    assert len(m) == 4
-    m2 = max_matching(G, 2, left=[0, 1], right=[2, 3])
-    assert set(m2) == {0, 1} and set(m2.values()) == {2, 3}
+    matching = max_matching_matrix(adj, range(n), range(n))
+    match_r = {w: u for u, w in matching.items()}
+    S = {u for u in range(n) if u not in matching}
+    frontier = sorted(S)
+    nbhd = set()
+    while frontier:
+        for w in np.flatnonzero(adj[frontier.pop(), :]).tolist():
+            if w not in nbhd:
+                nbhd.add(w)
+                if w in match_r:
+                    S.add(match_r[w])
+                    frontier.append(match_r[w])
+    assert len(nbhd) == len(S) - (n - len(matching))
 
 
 def test_max_matching_respects_sparse_pair():
     G = random_min_degree(3, 6, [3, 3, 3], seed=5)
     for i in (1, 2, 3):
-        m = max_matching(G, i)
+        adj = G.pair_matrix(i)
+        m = max_matching_matrix(adj, range(6), range(6))
         # min degree n/2 forces a perfect matching (Hall holds)
         assert len(m) == 6
-        adj = G.pair_matrix(i)
         assert all(adj[u, w] for u, w in m.items())
-
-
-def test_simultaneous_matching_common_edges_only():
-    n = 6
-    # dense enough that delta(H) + delta(H') >= 3n/2 holds by construction
-    H = np.ones((n, n), dtype=bool)
-    H[0, 0] = False
-    Hp = np.ones((n, n), dtype=bool)
-    Hp[1, 1] = False
-    matching, viol = simultaneous_matching(H, Hp, n)
-    assert viol is None
-    assert len(matching) == n
-    for u, w in matching.items():
-        assert H[u, w] and Hp[u, w]
-
-
-def test_simultaneous_matching_reports_violator():
-    n = 4
-    H = np.zeros((n, n), dtype=bool)
-    H[:, 0] = True  # everything maps to column 0
-    matching, viol = simultaneous_matching(H, H, n)
-    assert matching is None
-    assert viol is not None and len(viol) >= 2
-
-
-def test_simultaneous_matching_accepts_edge_lists():
-    n = 3
-    edges = [(i, j) for i in range(n) for j in range(n)]
-    matching, viol = simultaneous_matching(edges, edges, n)
-    assert viol is None and len(matching) == n
-    with pytest.raises(PreconditionError):
-        simultaneous_matching([(0, 5)], edges, n)
 
 
 def test_matching_long_augmenting_path_does_not_recurse():
