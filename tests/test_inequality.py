@@ -393,3 +393,58 @@ def test_grid_scan_finds_feasible_lattice_point():
     got = grid_scan(s, 4)
     assert got.min_violation == 0
     assert s.holds_at(got.argmin)
+
+
+# -- pinned outputs ---------------------------------------------------------
+
+# sha256 of each certificate's canonical text (see canonical_certificate)
+# at the default margin and depth, recorded before the enclosure kernel
+# was rewritten; any change of leaf, pruning name, node count or depth
+# is a regression, not a reason to re-pin
+CERT_SHA = {
+    "B1": "16e889a1060e42b7b2b22022ba0f8e0379e34175252943ff041525e924baaa84",
+    "B2": "5a2e52345aeff28504a3cf4ee55508fe647800414e133c1915a37717564c940c",
+    "B3": "080cf8237fa67f869fc4438f52debfc4d257dcaddfb13ac9361c53fd51dfe6cd",
+    "B4": "44988c52119ae59c58cc1bc7aeab1322a2584bbf280a90b4b787f24b4f8b2b79",
+    "B5": "924b1c152174a3d6a9c32dfb3e934db0924c6258ac0edef20b6ada7e68277786",
+}
+
+# grid_scan(sid, 14): (min_violation, argmin, nodes)
+GRID14 = {
+    "B1": (SMALL, {"x": F(1, 2), "y": F(1, 2), "z": F(0), "beta": F(1, 2)}, 233),
+    "B2": (F(5, 294), {"x": F(3, 7), "y": F(3, 7), "z": F(1, 7),
+                       "beta": F(55, 84)}, 435),
+    "B3": (F(1, 98), {"x": F(5, 14), "y": F(5, 14), "z": F(2, 7),
+                      "beta": F(13, 21)}, 527),
+    "B4": (F(13, 882), {"x": F(5, 14), "y": F(2, 7), "z": F(5, 14),
+                        "beta": F(2, 3)}, 609),
+    "B5": (F(1, 49), {"x": F(5, 14), "y": F(2, 7), "z": F(5, 14),
+                      "zeta": F(3, 14), "beta": F(13, 21)}, 797),
+}
+
+
+def canonical_certificate(cert):
+    rows = [name + " " + " ".join(f"{v}={lo}:{hi}" for v, (lo, hi) in items)
+            for items, name in cert.leaves]
+    rows.append(f"nodes={cert.nodes} depth={cert.depth}")
+    return "\n".join(rows)
+
+
+@pytest.mark.parametrize("sid", ALL_SYSTEMS)
+def test_certificates_are_pinned(sid):
+    import hashlib
+
+    cert = certify_infeasible(sid)
+    digest = hashlib.sha256(canonical_certificate(cert).encode()).hexdigest()
+    assert digest == CERT_SHA[sid]
+
+
+@pytest.mark.parametrize("sid", ALL_SYSTEMS)
+def test_grid_scan_is_pinned(sid):
+    got = grid_scan(sid, 14)
+    assert (got.min_violation, got.argmin, got.nodes) == GRID14[sid]
+
+
+def test_feasible_control_point_is_pinned():
+    res = certify_infeasible("B1w")
+    assert res.point == {"x": F(21, 32), "y": F(0), "z": F(0), "beta": F(1, 2)}
