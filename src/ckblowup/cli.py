@@ -244,6 +244,8 @@ def cmd_verify(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise SystemExit(f"error: --margin must be a fraction, got {args.margin!r}")
     reports = []
+    if args.grid is not None and args.grid < 1:
+        raise SystemExit(f"error: --grid must be at least 1, got {args.grid}")
     worst = 0
     for sid in systems:
         try:
@@ -268,7 +270,7 @@ def cmd_verify(args) -> int:
                  "millis": round(res.millis, 3)}
         print(f"{sid}: infeasible ({len(res.leaves)} leaves, depth {res.depth}, "
               f"{res.millis:.0f} ms)")
-        if args.grid:
+        if args.grid is not None:
             scan = grid_scan(sid, args.grid)
             entry["grid_min_violation"] = str(scan.min_violation)
             entry["grid_argmin"] = {v: str(x) for v, x in sorted(scan.argmin.items())}
@@ -405,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("graph")
     ln.add_argument("--t", type=int, required=True)
     ln.add_argument("--eta", required=True, help="threshold coefficient (fraction ok)")
-    ln.add_argument("--max-work", type=int, default=20_000_000)
+    ln.add_argument("--max-work", type=int, default=20_000_000,
+                    help="refuse (exit 3) a t > k-1 check whose candidate "
+                         "sets number more than this; t = k-1 is never refused")
     ln.add_argument("--out", default="-")
     ln.set_defaults(func=cmd_linking)
 

@@ -507,26 +507,27 @@ def is_linked(G: BlowupGraph, eta, t: int, *, max_work: int = 20_000_000) -> Lin
     in scan order among ties).
 
     Counts are exact: ``path_linking_count`` for t = k-1, the
-    intersections of ``union_linking_bits`` otherwise.  Raises
-    InfeasibleSizeError when the candidate sets of all pairs number more
-    than ``max_work``, so an undecided instance is never conflated with
-    a negative answer.  Requires eta > 0.
+    intersections of ``union_linking_bits`` otherwise.  The path product
+    enumerates nothing, so only the cycle-union form is guarded: it
+    raises InfeasibleSizeError when the candidate sets of all pairs
+    number more than ``max_work``, so an undecided instance is never
+    conflated with a negative answer.  Requires eta > 0.
     """
     k, n = G.k, G.n
     eta = Fraction(eta)
     if eta <= 0:
         raise PreconditionError(f"eta = {eta} must be positive")
     _check_linking_t(k, t)
-    est = _linking_work_estimate(G, t)
-    if est > max_work:
-        raise InfeasibleSizeError(
-            f"exhaustive linkedness check needs ~{est} combinations (> {max_work})"
-        )
     threshold = eta * n**t
     if t == k - 1:
         def count(i, a, b):
             return path_linking_count(G, VertexRef(i, a), VertexRef(i, b))
     else:
+        est = _linking_work_estimate(G, t)
+        if est > max_work:
+            raise InfeasibleSizeError(
+                f"exhaustive linkedness check needs ~{est} combinations (> {max_work})"
+            )
         bits, orderings = union_linking_bits(G, t)
 
         def count(i, a, b):

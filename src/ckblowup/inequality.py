@@ -1,9 +1,9 @@
 """Exact certification that the degree/weight inequality systems behind
 the lower-bound constructions have no solution.
 
-Everything that matters is computed over Fractions: interval endpoints,
-grid coordinates, and point evaluations, so no rounding can creep into
-a certificate.  Each system is a box of variables plus constraints of
+Everything that matters is exact: interval endpoints, grid coordinates
+and point evaluations are Fractions, and enclosure decisions are made in
+integers, so no rounding can creep into a certificate.  Each system is a box of variables plus constraints of
 the form expression >= 0 ("ge") or expression > 0 ("gt").
 
 The certifier runs interval branch and bound.  Strict constraints are
@@ -23,9 +23,16 @@ slabs are shaved off the box's faces, each slab becoming a certificate
 leaf of its own, discarded by the single constraint that kills it; the
 shaving is what lets the search pin coordinates against curved
 constraint boundaries without spending bisection depth on them.  What
-survives is bisected along its widest side.  Floating point is used
-only to steer which slabs to try; every recorded leaf is re-verified in
-exact arithmetic before it is kept.
+survives is bisected along its widest side.
+
+Each constraint compiles once into a table of two enclosure forms, read
+three ways.  The prover steers with one float screen (_FloatScreen)
+that evaluates every pruning constraint over a batch of boxes at once;
+it decides every leaf and every lattice prune exactly, in Python ints
+on the table scaled to integer coefficients (_IntTable, _int_box).
+Certificate.verify re-checks the leaves with the plain Fraction
+evaluation of the same two forms (Constraint.sup), which shares no
+evaluator with the prover.
 
 The grid scanner reports the minimum constraint violation over a full
 lattice, pruning grid-aligned blocks with the same interval enclosures,
@@ -34,6 +41,7 @@ so it is exhaustive without visiting every lattice point.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,15 +166,18 @@ class Mul(Expr):
 
 # A compiled constraint is a _Table of plain tuples.  A "sum of
 # products" is a list of (coef, factors) terms, each factor an affine
-# form (const, ((name, a), ...)) whose range over a box is exact.  The
-# same table is evaluated over Fractions (exact, min/max) and over
-# numpy arrays holding one box per row (float, np.minimum/np.maximum).
+# form (const, ((name, a), ...)) whose range over a box is exact.  Every
+# constraint has degree at most 2, so a term has at most two factors and
+# each partial derivative is one affine form.  The table is read three
+# ways: over Fractions by the reference enclosures, over scaled Python
+# ints by the prover's decisions (_IntTable), and over floats, for all
+# constraints and boxes at once, by the prover's steering (_FloatScreen).
 
 
 class _Table(NamedTuple):
     terms: list  # the written sum of products: the factored form
     monos: list  # expanded monomials as (coef, names)
-    derivs: list  # (name, sum of products of that partial derivative)
+    derivs: list  # (name, affine form of that partial derivative)
 
 
 def _written_terms(e: Expr) -> list:
@@ -210,51 +221,57 @@ def _merge_affine(terms: list) -> tuple:
 
 
 def _compile(expr: Expr) -> _Table:
+    terms = _written_terms(expr)
+    if any(len(fs) > 2 for _, fs in terms):
+        raise ValueError("constraints must be written with at most two "
+                         "non-constant factors per product")
     monos = list(expr.monomials().items())
     derivs = []
     for v in sorted({n for mono, _ in monos for n in mono}):
-        terms = []
+        # d/dv of c*v is c, of c*v*u is c*u, of c*v*v is 2c*v
+        const, lin = F(0), {}
         for mono, c in monos:
-            k = mono.count(v)
-            if k:
-                rest = tuple(n for n in mono if n != v) + (v,) * (k - 1)
-                terms.append((k * c, tuple(_unit(n) for n in rest)))
-        derivs.append((v, terms))
-    return _Table(_written_terms(expr), [(c, m) for m, c in monos], derivs)
+            if v in mono:
+                rest = list(mono)
+                rest.remove(v)
+                if rest:
+                    lin[rest[0]] = lin.get(rest[0], F(0)) + mono.count(v) * c
+                else:
+                    const += c
+        derivs.append((v, (const, tuple(lin.items()))))
+    return _Table(terms, [(c, m) for m, c in monos], derivs)
 
 
-def _float_table(table: _Table) -> _Table:
-    def terms(ts):
-        return [(float(c), tuple((float(k), tuple((v, float(a)) for v, a in lin))
-                                 for k, lin in fs)) for c, fs in ts]
-    return _Table(terms(table.terms), [(float(c), m) for c, m in table.monos],
-                  [(v, terms(ts)) for v, ts in table.derivs])
+def _affine_range(form: tuple, lo: dict, hi: dict) -> tuple:
+    const, lin = form
+    flo = fhi = const
+    for v, a in lin:
+        if a > 0:
+            flo, fhi = flo + a * lo[v], fhi + a * hi[v]
+        else:
+            flo, fhi = flo + a * hi[v], fhi + a * lo[v]
+    return flo, fhi
 
 
-def _range(terms: list, lo, hi, minimum, maximum) -> tuple:
-    """Enclosure (lo, hi) of a sum of products: each affine factor's
-    exact range, multiplied out in interval arithmetic."""
+def _range(terms: list, lo: dict, hi: dict) -> tuple:
+    """Reference enclosure (lo, hi) of a sum of products over Fractions:
+    each affine factor's exact range, multiplied out in interval
+    arithmetic."""
     slo = shi = 0
     for coef, factors in terms:
         tlo = thi = coef
-        for const, lin in factors:
-            flo = fhi = const
-            for v, a in lin:
-                if a > 0:
-                    flo, fhi = flo + a * lo[v], fhi + a * hi[v]
-                else:
-                    flo, fhi = flo + a * hi[v], fhi + a * lo[v]
+        for form in factors:
+            flo, fhi = _affine_range(form, lo, hi)
             p1, p2, p3, p4 = tlo * flo, tlo * fhi, thi * flo, thi * fhi
-            tlo = minimum(minimum(p1, p2), minimum(p3, p4))
-            thi = maximum(maximum(p1, p2), maximum(p3, p4))
+            tlo, thi = min(p1, p2, p3, p4), max(p1, p2, p3, p4)
         slo, shi = slo + tlo, shi + thi
     return slo, shi
 
 
-def _mean_value(table: _Table, lo, hi, minimum, maximum) -> tuple:
-    """Mean value enclosure around the box center: the value there plus
-    each partial derivative's enclosure times that variable's offset
-    range.  This is the form that sees joint cancellations: where
+def _mean_value(table: _Table, lo: dict, hi: dict) -> tuple:
+    """Reference mean value enclosure around the box center: the value
+    there plus each partial derivative's enclosure times that variable's
+    offset range.  This is the form that sees joint cancellations: where
     several near-tight terms balance, the center value is small and the
     slop is only the gradient times the half-widths."""
     mid = {v: (lo[v] + hi[v]) / 2 for v, _ in table.derivs}
@@ -265,10 +282,55 @@ def _mean_value(table: _Table, lo, hi, minimum, maximum) -> tuple:
             t = t * mid[v]
         center = center + t
     slop = 0
-    for v, terms in table.derivs:
-        dlo, dhi = _range(terms, lo, hi, minimum, maximum)
-        slop = slop + maximum(abs(dlo), abs(dhi)) * ((hi[v] - lo[v]) / 2)
+    for v, form in table.derivs:
+        dlo, dhi = _affine_range(form, lo, hi)
+        slop = slop + max(abs(dlo), abs(dhi)) * ((hi[v] - lo[v]) / 2)
     return center - slop, center + slop
+
+
+class _IntTable(NamedTuple):
+    """The table times M, the lcm of its denominators, with integer
+    coefficients throughout.  Each factor is cleared of its own
+    denominators and the rest of the scale is folded into its term's
+    coefficient.  Evaluated at X = S*x for an integer S (see _int_box),
+    a term of degree d is homogenized by S^(2-d), so every quantity is
+    M*S^2 times its Fraction counterpart: the min/max choices of the
+    reference are the same and so is every decision against a cut."""
+    scale: int  # M
+    terms: list  # (coef, degree, ((const, ((name, a), ...)), ...))
+    monos: list  # (coef, names)
+    derivs: list  # (name, const, ((name, a), ...)): M * the derivative
+
+
+def _int_table(table: _Table) -> _IntTable:
+    terms = []
+    for coef, factors in table.terms:
+        fs = []
+        for const, lin in factors:
+            m = math.lcm(const.denominator, *(a.denominator for _, a in lin))
+            fs.append((int(const * m), tuple((v, int(a * m)) for v, a in lin)))
+            coef = coef / m
+        terms.append((coef, tuple(fs)))
+    M = math.lcm(*(c.denominator for c, _ in terms),
+                 *(c.denominator for c, _ in table.monos))
+    return _IntTable(
+        M, [(int(c * M), len(fs), fs) for c, fs in terms],
+        [(int(c * M), names) for c, names in table.monos],
+        [(v, int(const * M), tuple((u, int(a * M)) for u, a in lin))
+         for v, (const, lin) in table.derivs])
+
+
+def _int_box(box: dict) -> tuple:
+    """(S, lo, hi, mid, half) for a box of Fraction pairs: S is twice the
+    lcm of the endpoint denominators, and the dicts hold S times each
+    endpoint, midpoint and half-width, all integers."""
+    S = 2 * math.lcm(*(e.denominator for pair in box.values() for e in pair))
+    lo, hi, mid, half = {}, {}, {}, {}
+    for v, (a, b) in box.items():
+        A = a.numerator * (S // a.denominator)
+        B = b.numerator * (S // b.denominator)
+        lo[v], hi[v], mid[v], half[v] = A, B, (A + B) // 2, (B - A) // 2
+    return S, lo, hi, mid, half
 
 
 @dataclass
@@ -279,8 +341,8 @@ class Constraint:
     compiled here: the factored form F (the written sum of products,
     tight where each variable occurs once) and the mean value form M
     (tight where occurrences of a variable cancel to first order).
-    Exact Fractions decide; floats evaluate the same table, one box per
-    row, only to steer."""
+    ``enclosures`` and ``sup`` are the Fraction reference; ``proves``
+    decides the same forms in scaled Python ints."""
 
     name: str
     expr: Expr
@@ -290,13 +352,14 @@ class Constraint:
         if self.kind not in ("ge", "gt"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         self._table = _compile(self.expr)
-        self._ftable = _float_table(self._table)
+        self._itable = _int_table(self._table)
 
     def enclosures(self, env: Dict[str, Interval]) -> Tuple[Interval, Interval]:
         """The factored and the mean value enclosure over the box."""
-        lo, hi = _ends(env)
-        return (Interval(*_range(self._table.terms, lo, hi, min, max)),
-                Interval(*_mean_value(self._table, lo, hi, min, max)))
+        lo = {v: iv.lo for v, iv in env.items()}
+        hi = {v: iv.hi for v, iv in env.items()}
+        return (Interval(*_range(self._table.terms, lo, hi)),
+                Interval(*_mean_value(self._table, lo, hi)))
 
     def sup(self, env: Dict[str, Interval]) -> Fraction:
         """Upper bound on the expression over the box: min(F.hi, M.hi)."""
@@ -308,12 +371,47 @@ class Constraint:
         """Whether F or M puts the expression below cut (at most cut
         when strict is False) on the whole box; M is only evaluated
         when F fails."""
-        return self._below(*_ends(env), cut, strict)
+        return self._below(_int_box({v: (iv.lo, iv.hi) for v, iv in env.items()}),
+                           cut, strict)
 
-    def _below(self, lo: dict, hi: dict, cut: Fraction, strict: bool) -> bool:
-        ok = (lambda h: h < cut) if strict else (lambda h: h <= cut)
-        return (ok(_range(self._table.terms, lo, hi, min, max)[1])
-                or ok(_mean_value(self._table, lo, hi, min, max)[1]))
+    def _below(self, ibox: tuple, cut: Fraction, strict: bool) -> bool:
+        """``proves`` on a box already converted by _int_box."""
+        S, lo, hi, mid, half = ibox
+        M, terms, monos, derivs = self._itable
+        spow = (S * S, S, 1)
+        den, lim = cut.denominator, cut.numerator * M * spow[0]
+        shi = 0
+        for coef, deg, factors in terms:
+            tlo = thi = coef * spow[deg]
+            for const, lin in factors:
+                flo = fhi = const * S
+                for v, a in lin:
+                    if a > 0:
+                        flo, fhi = flo + a * lo[v], fhi + a * hi[v]
+                    else:
+                        flo, fhi = flo + a * hi[v], fhi + a * lo[v]
+                p1, p2, p3, p4 = tlo * flo, tlo * fhi, thi * flo, thi * fhi
+                tlo, thi = min(p1, p2, p3, p4), max(p1, p2, p3, p4)
+            shi += thi
+        if (shi * den < lim) if strict else (shi * den <= lim):
+            return True
+        center = 0
+        for coef, names in monos:
+            t = coef * spow[len(names)]
+            for v in names:
+                t *= mid[v]
+            center += t
+        slop = 0
+        for v, const, lin in derivs:
+            dlo = dhi = const * S
+            for u, a in lin:
+                if a > 0:
+                    dlo, dhi = dlo + a * lo[u], dhi + a * hi[u]
+                else:
+                    dlo, dhi = dlo + a * hi[u], dhi + a * lo[u]
+            slop += max(-dlo, dhi) * half[v]  # max(|dlo|, |dhi|): dlo <= dhi
+        h = center + slop
+        return (h * den < lim) if strict else (h * den <= lim)
 
     def value(self, point: Dict[str, Fraction]) -> Fraction:
         return self.expr.value(point)
@@ -323,25 +421,74 @@ class Constraint:
         return v > 0 if self.kind == "gt" else v >= 0
 
 
-def _ends(env: Dict[str, Interval]) -> tuple:
-    return ({v: iv.lo for v, iv in env.items()},
-            {v: iv.hi for v, iv in env.items()})
+class _FloatScreen:
+    """Float min(F.hi, M.hi) of a list of constraints, stacked once so
+    that one call evaluates every constraint over a batch of boxes in a
+    fixed handful of numpy operations.  Steers shaving, splitting and
+    scan order only; nothing it reports is recorded without an exact
+    decision.
 
+    Every affine form of every constraint is one column: each term's two
+    factors (the coefficient folded into the first, a missing factor
+    padded as the constant 1) and each partial derivative.  Their ranges
+    come from one matmul of [lo, hi] against the positive and negative
+    parts.  Monomials index the midpoint, padded with a column of ones,
+    and 0/1 matrices sum terms, monomials and derivative slops into
+    their constraints."""
 
-def _float_sups(constraints: Sequence[Constraint], variables: tuple,
-                los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """(B, dim) box bounds in, (B, n_constraints) float min(F.hi, M.hi)
-    out.  Steers shaving, splitting and scan order only; nothing it
-    reports is recorded without exact confirmation."""
-    lo = {v: los[:, i] for i, v in enumerate(variables)}
-    hi = {v: his[:, i] for i, v in enumerate(variables)}
-    out = np.empty((los.shape[0], len(constraints)))
-    for j, c in enumerate(constraints):
-        ft = c._ftable
-        out[:, j] = np.minimum(
-            _range(ft.terms, lo, hi, np.minimum, np.maximum)[1],
-            _mean_value(ft, lo, hi, np.minimum, np.maximum)[1])
-    return out
+    def __init__(self, constraints: Sequence[Constraint], variables: tuple):
+        col = {v: i for i, v in enumerate(variables)}
+        n = len(variables)
+        one = (F(1), ())
+        firsts, seconds, derivs = [], [], []
+        term_of, mono_of, deriv_of = [], [], []
+        mcoef, mcols, dcols = [], [], []
+        for j, c in enumerate(constraints):
+            table = c._table
+            for coef, fs in table.terms:
+                f1, f2 = (tuple(fs) + (one, one))[:2]
+                firsts.append((coef * f1[0], tuple((v, coef * a) for v, a in f1[1])))
+                seconds.append(f2)
+                term_of.append(j)
+            for coef, names in table.monos:
+                mcoef.append(float(coef))
+                mcols.append([col[v] for v in names] + [n] * (2 - len(names)))
+                mono_of.append(j)
+            for v, form in table.derivs:
+                derivs.append(form)
+                dcols.append(col[v])
+                deriv_of.append(j)
+        forms = firsts + seconds + derivs
+        A = np.zeros((n, len(forms)))
+        const = np.array([float(k) for k, _ in forms])
+        for r, (_, lin) in enumerate(forms):
+            for v, a in lin:
+                A[col[v], r] = float(a)
+        pos, neg = np.maximum(A, 0.0), np.minimum(A, 0.0)
+        self._ends = np.block([[pos, neg], [neg, pos]])  # [lo, hi] -> [lows, highs]
+        self._const = np.concatenate([const, const])
+        self._T, self._R = len(firsts), len(forms)
+        self._mcoef = np.array(mcoef)
+        self._mcols = np.array(mcols, dtype=np.intp).reshape(-1, 2)
+        self._dcols = np.array(dcols, dtype=np.intp)
+        C = len(constraints)
+        self._term_sum = np.eye(C)[term_of].reshape(-1, C)
+        self._mv_sum = np.eye(C)[mono_of + deriv_of].reshape(-1, C)
+
+    def __call__(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """(B, dim) box bounds in, (B, n_constraints) float sups out."""
+        T, R = self._T, self._R
+        ends = np.concatenate([los, his], axis=1) @ self._ends + self._const
+        lows, highs = ends[:, :R], ends[:, R:]
+        a, b = lows[:, :T], highs[:, :T]
+        c, d = lows[:, T:2 * T], highs[:, T:2 * T]
+        fhi = np.maximum(np.maximum(a * c, a * d), np.maximum(b * c, b * d))
+        mid = np.concatenate([(los + his) / 2, np.ones((los.shape[0], 1))], axis=1)
+        center = self._mcoef * mid[:, self._mcols[:, 0]] * mid[:, self._mcols[:, 1]]
+        grad = np.maximum(np.abs(lows[:, 2 * T:]), np.abs(highs[:, 2 * T:]))
+        slop = grad * ((his - los) / 2)[:, self._dcols]
+        mv = np.concatenate([center, slop], axis=1) @ self._mv_sum
+        return np.minimum(fhi @ self._term_sum, mv)
 
 
 @dataclass
@@ -466,7 +613,10 @@ class Certificate:
     pruning constraint whose factored or mean value enclosure lies
     entirely below its cut: a system constraint (cut = margin when
     strict, 0 otherwise) or a derived combination of one (see
-    _pruning_constraints)."""
+    _pruning_constraints).
+
+    ``verify`` uses the Fraction reference (Constraint.sup) only, never
+    the prover's int decisions or float screen."""
 
     sid: str
     margin: Fraction
@@ -575,7 +725,7 @@ def certify_infeasible(system, max_depth: int = 40,
     leaves: list = []
     state = {"nodes": 0, "depth": 0}
 
-    constraints = [c for c, _ in pruning]
+    screen = _FloatScreen([c for c, _ in pruning], system.variables)
     fcut_arr = np.array([float(cut) for _, cut in pruning])
     order = system.variables
     dim = len(order)
@@ -583,13 +733,12 @@ def certify_infeasible(system, max_depth: int = 40,
     def exact_eliminator(box: dict, hint: Optional[int] = None) -> Optional[str]:
         """Name of a pruning constraint whose exact enclosure is below
         its cut on the whole box, or None.  ``hint`` is tried first."""
-        lo = {v: a for v, (a, _) in box.items()}
-        hi = {v: b for v, (_, b) in box.items()}
+        ibox = _int_box(box)
         pairs = list(pruning)
         if hint is not None:
             pairs.insert(0, pairs.pop(hint))
         for c, cut in pairs:
-            if c._below(lo, hi, cut, True):
+            if c._below(ibox, cut, True):
                 return c.name
         return None
 
@@ -601,46 +750,34 @@ def certify_infeasible(system, max_depth: int = 40,
     def eliminator(box: dict) -> Optional[str]:
         """Like exact_eliminator but float-screened first."""
         flo, fhi = _as_arrays(box)
-        sups = _float_sups(constraints, order, flo[None, :], fhi[None, :])[0]
+        sups = screen(flo[None, :], fhi[None, :])[0]
         screened = np.flatnonzero(sups < fcut_arr + _FUZZ)
         if screened.size == 0:
             return None
         return exact_eliminator(box, hint=int(screened[0]))
 
-    def _slab_batch(flo, fhi):
-        """All candidate face slabs at dyadic prefixes: row arrays plus
-        (axis, side, numerator) labels.  numerator/_SHAVE_RES of the
-        width is removed from the low (side 0) or high (side 1) end."""
-        rows_lo, rows_hi, labels = [], [], []
-        for i in range(dim):
-            w = fhi[i] - flo[i]
-            if w <= 0.0:
-                continue
-            for side in (0, 1):
-                for num in range(1, _SHAVE_RES):
-                    rlo, rhi = flo.copy(), fhi.copy()
-                    if side == 0:
-                        rhi[i] = flo[i] + w * (num / _SHAVE_RES)
-                    else:
-                        rlo[i] = fhi[i] - w * (num / _SHAVE_RES)
-                    rows_lo.append(rlo)
-                    rows_hi.append(rhi)
-                    labels.append((i, side, num))
-        return rows_lo, rows_hi, labels
-
     def _dead_prefixes(flo, fhi):
         """Largest float-dead slab numerator per (axis, side), plus the
-        index of the constraint that screened it."""
-        rows_lo, rows_hi, labels = _slab_batch(flo, fhi)
+        index of the constraint that screened it.  A slab removes
+        num/_SHAVE_RES of the width from the low (side 0) or high
+        (side 1) end of an axis; all of them are screened in one batch."""
+        labels = [(i, side, num) for i in range(dim) if fhi[i] > flo[i]
+                  for side in (0, 1) for num in range(1, _SHAVE_RES)]
         if not labels:
             return {}
-        sups = _float_sups(constraints, order, np.array(rows_lo), np.array(rows_hi))
-        dead = sups < fcut_arr + _FUZZ
-        rows_dead = dead.any(axis=1)
+        axis, side, num = np.array(labels).T
+        rows = np.arange(len(labels))
+        step = (fhi - flo)[axis] * (num / _SHAVE_RES)
+        los, his = np.tile(flo, (len(rows), 1)), np.tile(fhi, (len(rows), 1))
+        low = side == 0
+        his[rows[low], axis[low]] = (flo[axis] + step)[low]
+        los[rows[~low], axis[~low]] = (fhi[axis] - step)[~low]
+        dead = screen(los, his) < fcut_arr + _FUZZ
+        first = dead.argmax(axis=1)
         best: dict = {}
-        for row, (i, side, num) in enumerate(labels):
-            if rows_dead[row] and num > best.get((i, side), (0, 0))[0]:
-                best[(i, side)] = (num, int(np.flatnonzero(dead[row])[0]))
+        for row in np.flatnonzero(dead.any(axis=1)):  # num ascends per face
+            i, s, n = labels[row]
+            best[(i, s)] = (n, int(first[row]))
         return best
 
     def shave(box: dict) -> bool:
@@ -814,6 +951,7 @@ def grid_scan(system, resolution: int) -> GridScanResult:
         coords[v] = [lo + step * i for i in range(resolution + 1)]
         fcoords[v] = np.array([float(c) for c in coords[v]])
     best = {"viol": None, "arg": None, "nodes": 0, "hint": 0}
+    screen = _FloatScreen(system.constraints, system.variables)
 
     def fbounds(blocks: list) -> np.ndarray:
         # Upper estimate of how far below zero any constraint can be
@@ -824,12 +962,11 @@ def grid_scan(system, resolution: int) -> GridScanResult:
                         for idx in blocks])
         his = np.array([[fcoords[v][idx[v][1]] for v in system.variables]
                         for idx in blocks])
-        sups = _float_sups(system.constraints, system.variables, los, his)
+        sups = screen(los, his)
         return np.clip(1e-9 - sups, 0.0, None).max(axis=1)
 
     def exact_prunes(idx: dict, target: Fraction) -> bool:
-        lo = {v: coords[v][a] for v, (a, _) in idx.items()}
-        hi = {v: coords[v][b] for v, (_, b) in idx.items()}
+        ibox = _int_box({v: (coords[v][a], coords[v][b]) for v, (a, b) in idx.items()})
         order = list(range(len(system.constraints)))
         order.insert(0, order.pop(best["hint"]))
         for j in order:
@@ -837,7 +974,7 @@ def grid_scan(system, resolution: int) -> GridScanResult:
             cut = -target
             if c.kind == "gt" and target <= SMALL:
                 cut = F(0)
-            if c._below(lo, hi, cut, False):
+            if c._below(ibox, cut, False):
                 best["hint"] = j
                 return True
         return False

@@ -205,10 +205,19 @@ def test_linking(tmp_path, capsys):
     assert main(["linking", str(path), "--t", "2", "--eta", "17/16"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["linked"] is False
-    # oversized request refused, not attempted
-    assert main(["linking", str(path), "--t", "2", "--eta", "1",
+    # an oversized cycle-union request is refused, not attempted
+    assert main(["linking", str(path), "--t", "5", "--eta", "1",
                  "--max-work", "10"]) == 3
     assert "combinations" in capsys.readouterr().err
+
+
+def test_linking_path_product_is_never_refused(tmp_path, capsys):
+    # t = k-1 counts by a path product and enumerates nothing, so no
+    # work estimate applies, even one far above --max-work
+    path = tmp_path / "c362.json"
+    path.write_text(graph_to_json(complete_blowup(3, 62)))
+    assert main(["linking", str(path), "--t", "2", "--eta", "1/100"]) == 0
+    assert json.loads(capsys.readouterr().out)["linked"] is True
 
 
 def test_linking_bad_t(tmp_path, capsys):
@@ -252,6 +261,14 @@ def test_verify_certifies_with_grid_report(tmp_path, capsys):
     assert report[0]["system"] == "B1"
     assert report[0]["certified"] is True
     assert report[0]["grid_min_violation"] == "1/1000000000000"
+
+
+def test_verify_rejects_grid_below_1(capsys):
+    for grid in ("0", "-3"):
+        assert main(["verify", "--system", "B1", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any certification
+        assert captured.err.startswith("error: --grid")
 
 
 def test_verify_depth_exhaustion_exits_3(capsys):

@@ -346,4 +346,13 @@ def test_is_linked_minimizer_is_pinned():
 def test_is_linked_work_guard():
     G = complete_blowup(3, 30)
     with pytest.raises(InfeasibleSizeError):
-        is_linked(G, Fraction(1, 100), 2, max_work=1000)
+        is_linked(G, Fraction(1, 100), 5, max_work=1000)
+
+
+def test_is_linked_path_product_skips_work_guard():
+    # the cycle-union estimate for this instance is about 22.5M, over
+    # the default budget; the t = k-1 path product enumerates nothing
+    G = complete_blowup(3, 62)
+    res = is_linked(G, Fraction(1, 100), 2)
+    assert res.linked
+    assert res.count == is_linked(G, Fraction(1, 100), 2, max_work=10**12).count

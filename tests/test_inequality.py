@@ -19,7 +19,7 @@ from ckblowup.inequality import (
     SMALL,
     System,
     Var,
-    _float_sups,
+    _FloatScreen,
     _pruning_constraints,
     certify_infeasible,
     grid_scan,
@@ -113,21 +113,70 @@ def test_proves_non_strict_boundary():
     assert c.proves(env, F(0), strict=False)
 
 
-def test_float_kernel_tracks_exact_sups():
+SIX_SYSTEMS = ALL_SYSTEMS + ("B1w",)
+SNAP = 6 * 2**40  # the certifier's global denominator for shave cuts
+
+
+def certifier_box(rng, system):
+    """A random sub-box of the system's box whose endpoints carry the
+    denominators the certifier and the scanner really produce: shave
+    cuts snapped to 1/SNAP, dyadic bisection points, and resolution-200
+    lattice coordinates.  One axis in eight has zero width."""
+    box = {}
+    for v in system.variables:
+        lo, hi = system.box[v]
+        kind = rng.randrange(3)
+        if kind == 0:
+            ends = [F(rng.randrange(int(lo * SNAP), int(hi * SNAP) + 1), SNAP)
+                    for _ in range(2)]
+        elif kind == 1:
+            d = 2 ** rng.randrange(1, 30)
+            ends = [lo + (hi - lo) * F(rng.randrange(d + 1), d) for _ in range(2)]
+        else:
+            ends = [lo + (hi - lo) * F(rng.randrange(201), 200) for _ in range(2)]
+        a, b = sorted(ends)
+        if rng.randrange(8) == 0:
+            b = a
+        box[v] = Interval(a, b)
+    return box
+
+
+@pytest.mark.parametrize("sid", SIX_SYSTEMS)
+def test_int_decisions_and_float_screen_track_the_reference(sid):
     import numpy as np
 
-    system = lemma_system("B5")
-    cons = system.constraints
-    rng = random.Random(9)
-    for _ in range(10):
-        env = random_box(rng, system.variables)
-        lo = np.array([[float(env[v].lo) for v in system.variables]])
-        hi = np.array([[float(env[v].hi) for v in system.variables]])
-        sups = _float_sups(cons, system.variables, lo, hi)[0]
+    system = lemma_system(sid)
+    cons = [c for c, _ in _pruning_constraints(system, F(1, 10**6))]
+    screen = _FloatScreen(cons, system.variables)
+    rng = random.Random(sid)
+    boxes = [certifier_box(rng, system) for _ in range(60)]
+    los = np.array([[float(b[v].lo) for v in system.variables] for b in boxes])
+    his = np.array([[float(b[v].hi) for v in system.variables] for b in boxes])
+    fsups = screen(los, his)
+    eps = F(1, 10**15)
+    for row, env in enumerate(boxes):
         for j, c in enumerate(cons):
-            # the float path evaluates the same two forms, so up to
-            # roundoff it agrees with the exact bound
-            assert sups[j] >= float(c.sup(env)) - 1e-9
+            sup = c.sup(env)
+            # the scaled-int decision is exactly the Fraction one
+            for cut in (sup - eps, sup, sup + eps):
+                assert c.proves(env, cut) == (sup < cut)
+                assert c.proves(env, cut, strict=False) == (sup <= cut)
+            # the float screen evaluates the same forms up to roundoff
+            assert fsups[row, j] >= float(sup) - 1e-9
+
+
+def test_verify_uses_only_the_reference(monkeypatch):
+    certs = [certify_infeasible(sid) for sid in ("B1", "B3")]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the verifier reached the prover's kernel")
+
+    monkeypatch.setattr(Constraint, "_below", broken)
+    monkeypatch.setattr(_FloatScreen, "__call__", broken)
+    for cert in certs:
+        assert cert.verify()
+        items, name = cert.leaves[0]
+        assert not retag(cert, [(items, "x-lb")] + cert.leaves[1:]).verify()
 
 
 # -- the lemma systems ---------------------------------------------------
