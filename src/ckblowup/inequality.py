@@ -891,7 +891,12 @@ def certify_infeasible(system, max_depth: int = 40,
                 return res
         return None
 
-    found = rec(dict(system.box), {v: 0 for v in system.variables})
+    try:
+        found = rec(dict(system.box), {v: 0 for v in system.variables})
+    finally:
+        # rec's closure holds rec itself: emptying that cell frees the
+        # search state now, not at some later cyclic collection
+        del rec
     millis = (time.monotonic() - start) * 1000.0
     if found is not None:
         return found
@@ -1014,7 +1019,10 @@ def grid_scan(system, resolution: int) -> GridScanResult:
             for child in children:
                 rec(child, None)
 
-    rec({v: (0, resolution) for v in system.variables}, None)
+    try:
+        rec({v: (0, resolution) for v in system.variables}, None)
+    finally:
+        del rec  # as in certify_infeasible: break the self-reference
     millis = (time.monotonic() - start) * 1000.0
     return GridScanResult(system.sid, resolution, best["viol"], best["arg"],
                           best["nodes"], millis)
