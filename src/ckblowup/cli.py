@@ -243,9 +243,9 @@ def cmd_verify(args) -> int:
         margin = Fraction(args.margin)
     except (ValueError, ZeroDivisionError):
         raise SystemExit(f"error: --margin must be a fraction, got {args.margin!r}")
-    reports = []
     if args.grid is not None and args.grid < 1:
         raise SystemExit(f"error: --grid must be at least 1, got {args.grid}")
+    reports = []
     worst = 0
     for sid in systems:
         try:

@@ -3,8 +3,9 @@ the lower-bound constructions have no solution.
 
 Everything that matters is exact: interval endpoints, grid coordinates
 and point evaluations are Fractions, and enclosure decisions are made in
-integers, so no rounding can creep into a certificate.  Each system is a box of variables plus constraints of
-the form expression >= 0 ("ge") or expression > 0 ("gt").
+integers, so no rounding can creep into a certificate.  Each system is a
+box of variables plus constraints of the form expression >= 0 ("ge") or
+expression > 0 ("gt").
 
 The certifier runs interval branch and bound.  Strict constraints are
 tightened to "expression >= margin" first: several of the systems touch
@@ -29,7 +30,7 @@ Each constraint compiles once into a table of two enclosure forms, read
 three ways.  The prover steers with one float screen (_FloatScreen)
 that evaluates every pruning constraint over a batch of boxes at once;
 it decides every leaf and every lattice prune exactly, in Python ints
-on the table scaled to integer coefficients (_IntTable, _int_box).
+on the table scaled to integer coefficients (_int_table, _int_box).
 Certificate.verify re-checks the leaves with the plain Fraction
 evaluation of the same two forms (Constraint.sup), which shares no
 evaluator with the prover.
@@ -168,10 +169,7 @@ class Mul(Expr):
 # products" is a list of (coef, factors) terms, each factor an affine
 # form (const, ((name, a), ...)) whose range over a box is exact.  Every
 # constraint has degree at most 2, so a term has at most two factors and
-# each partial derivative is one affine form.  The table is read three
-# ways: over Fractions by the reference enclosures, over scaled Python
-# ints by the prover's decisions (_IntTable), and over floats, for all
-# constraints and boxes at once, by the prover's steering (_FloatScreen).
+# each partial derivative is one affine form.
 
 
 class _Table(NamedTuple):
@@ -288,21 +286,16 @@ def _mean_value(table: _Table, lo: dict, hi: dict) -> tuple:
     return center - slop, center + slop
 
 
-class _IntTable(NamedTuple):
-    """The table times M, the lcm of its denominators, with integer
-    coefficients throughout.  Each factor is cleared of its own
-    denominators and the rest of the scale is folded into its term's
-    coefficient.  Evaluated at X = S*x for an integer S (see _int_box),
-    a term of degree d is homogenized by S^(2-d), so every quantity is
-    M*S^2 times its Fraction counterpart: the min/max choices of the
-    reference are the same and so is every decision against a cut."""
-    scale: int  # M
-    terms: list  # (coef, degree, ((const, ((name, a), ...)), ...))
-    monos: list  # (coef, names)
-    derivs: list  # (name, const, ((name, a), ...)): M * the derivative
-
-
-def _int_table(table: _Table) -> _IntTable:
+def _int_table(table: _Table) -> tuple:
+    """(M, terms, monos, derivs): the table times M, the lcm of its
+    denominators, with integer coefficients throughout.  Each factor is
+    cleared of its own denominators and the rest of the scale is folded
+    into its term's coefficient; terms are (coef, degree, factors) and
+    derivs (name, const, lin).  Evaluated at X = S*x for an integer S
+    (see _int_box), a term of degree d is homogenized by S^(2-d), so
+    every quantity is M*S^2 times its Fraction counterpart: the min/max
+    choices of the reference are the same and so is every decision
+    against a cut."""
     terms = []
     for coef, factors in table.terms:
         fs = []
@@ -313,11 +306,10 @@ def _int_table(table: _Table) -> _IntTable:
         terms.append((coef, tuple(fs)))
     M = math.lcm(*(c.denominator for c, _ in terms),
                  *(c.denominator for c, _ in table.monos))
-    return _IntTable(
-        M, [(int(c * M), len(fs), fs) for c, fs in terms],
-        [(int(c * M), names) for c, names in table.monos],
-        [(v, int(const * M), tuple((u, int(a * M)) for u, a in lin))
-         for v, (const, lin) in table.derivs])
+    return (M, [(int(c * M), len(fs), fs) for c, fs in terms],
+            [(int(c * M), names) for c, names in table.monos],
+            [(v, int(const * M), tuple((u, int(a * M)) for u, a in lin))
+             for v, (const, lin) in table.derivs])
 
 
 def _int_box(box: dict) -> tuple:
@@ -331,6 +323,19 @@ def _int_box(box: dict) -> tuple:
         B = b.numerator * (S // b.denominator)
         lo[v], hi[v], mid[v], half[v] = A, B, (A + B) // 2, (B - A) // 2
     return S, lo, hi, mid, half
+
+
+def _int_range(const: int, lin: tuple, S: int, lo: dict, hi: dict) -> tuple:
+    """S times the range of const + sum(a * x) over an _int_box box.
+    Kept apart from the reference _affine_range on purpose, so that
+    Certificate.verify shares no evaluator with the prover."""
+    flo = fhi = const * S
+    for v, a in lin:
+        if a > 0:
+            flo, fhi = flo + a * lo[v], fhi + a * hi[v]
+        else:
+            flo, fhi = flo + a * hi[v], fhi + a * lo[v]
+    return flo, fhi
 
 
 @dataclass
@@ -384,12 +389,7 @@ class Constraint:
         for coef, deg, factors in terms:
             tlo = thi = coef * spow[deg]
             for const, lin in factors:
-                flo = fhi = const * S
-                for v, a in lin:
-                    if a > 0:
-                        flo, fhi = flo + a * lo[v], fhi + a * hi[v]
-                    else:
-                        flo, fhi = flo + a * hi[v], fhi + a * lo[v]
+                flo, fhi = _int_range(const, lin, S, lo, hi)
                 p1, p2, p3, p4 = tlo * flo, tlo * fhi, thi * flo, thi * fhi
                 tlo, thi = min(p1, p2, p3, p4), max(p1, p2, p3, p4)
             shi += thi
@@ -403,12 +403,7 @@ class Constraint:
             center += t
         slop = 0
         for v, const, lin in derivs:
-            dlo = dhi = const * S
-            for u, a in lin:
-                if a > 0:
-                    dlo, dhi = dlo + a * lo[u], dhi + a * hi[u]
-                else:
-                    dlo, dhi = dlo + a * hi[u], dhi + a * lo[u]
+            dlo, dhi = _int_range(const, lin, S, lo, hi)
             slop += max(-dlo, dhi) * half[v]  # max(|dlo|, |dhi|): dlo <= dhi
         h = center + slop
         return (h * den < lim) if strict else (h * den <= lim)
@@ -472,8 +467,8 @@ class _FloatScreen:
         self._mcols = np.array(mcols, dtype=np.intp).reshape(-1, 2)
         self._dcols = np.array(dcols, dtype=np.intp)
         C = len(constraints)
-        self._term_sum = np.eye(C)[term_of].reshape(-1, C)
-        self._mv_sum = np.eye(C)[mono_of + deriv_of].reshape(-1, C)
+        self._term_sum = np.eye(C)[term_of]
+        self._mv_sum = np.eye(C)[mono_of + deriv_of]
 
     def __call__(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """(B, dim) box bounds in, (B, n_constraints) float sups out."""

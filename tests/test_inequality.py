@@ -60,6 +60,14 @@ def test_expression_value_matches_float_eval():
     assert e.value(p) == want
 
 
+def test_constraints_above_degree_two_are_rejected():
+    # both kernels assume at most two affine factors per written product
+    x = Var("x")
+    with pytest.raises(ValueError):
+        Constraint("cubic", x * x * x)
+    Constraint("square", (x - 1) * (x + 2) * 3)  # constants fold away
+
+
 def random_box(rng, variables):
     env = {}
     for v in variables:
