@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from array import array
 from contextlib import contextmanager
 from itertools import chain
@@ -148,6 +149,7 @@ class BlowupGraph:
 def build_graph(k: int, n: int, edges: Iterable[tuple]) -> BlowupGraph:
     """Build a graph from (i, u, w) triples, u in V_i adjacent to w in V_{i+1}.
 
+    ``edges`` may also be an (m, 3) int64 array, which is used as is.
     Duplicate edges merge silently; non-integer entries, non-triples
     and out-of-range parts or indices raise, naming the first bad edge.
     """
@@ -155,23 +157,26 @@ def build_graph(k: int, n: int, edges: Iterable[tuple]) -> BlowupGraph:
         raise PreconditionError(f"k must be >= 3, got {k}")
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
-    if not isinstance(edges, (list, tuple)):
-        edges = list(edges)
-    try:
-        flat = array("q", chain.from_iterable(edges))  # takes ints that fit int64
-        triples = set(map(len, edges)) <= {3}
-    except (TypeError, OverflowError):
-        triples = False
-    if not triples:
-        raise PreconditionError(_first_bad_edge(k, n, edges))
-    arr = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+    if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (3,):
+        arr = edges
+    else:
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        try:
+            flat = array("q", chain.from_iterable(edges))  # takes ints that fit int64
+            triples = set(map(len, edges)) <= {3}
+        except (TypeError, OverflowError):
+            triples = False
+        if not triples:
+            raise PreconditionError(_first_bad_edge(k, n, edges))
+        arr = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
     part, ends = arr[:, 0], arr[:, 1:]
     bad = (part < 1) | (part > k) | (ends < 0).any(axis=1) | (ends >= n).any(axis=1)
     if bad.any():
         raise PreconditionError(_first_bad_edge(k, n, arr[bad.argmax():].tolist()))
-    adj = np.zeros((k, n, n), dtype=bool)
-    adj[part - 1, ends[:, 0], ends[:, 1]] = True
-    return BlowupGraph(k, n, adj)
+    adj = np.zeros(k * n * n, dtype=bool)
+    adj[((part - 1) * n + ends[:, 0]) * n + ends[:, 1]] = True
+    return BlowupGraph(k, n, adj.reshape(k, n, n))
 
 
 def _first_bad_edge(k: int, n: int, edges) -> str:
@@ -295,7 +300,59 @@ def graph_from_json_dict(obj: dict) -> BlowupGraph:
     return build_graph(obj["k"], obj["n"], obj["edges"])
 
 
+# graph_to_json's form: no whitespace, keys sorted, so the edges come first.
+# Classes of the edge body's bytes: a digit is 0, "[", "]" and "," are
+# themselves, anything else is "?".
+_CANON_TAIL = re.compile(
+    r'\],"format":"ckblowup/1","k":([1-9][0-9]{0,8}),"n":([1-9][0-9]{0,8})}\n?')
+_CANON_CLASS = bytes(0 if chr(b) in "0123456789" else b if chr(b) in "[]," else ord("?")
+                     for b in range(256))
+_CANON_EDGE = np.frombuffer(b"[\0,\0,\0],", dtype=np.uint8)
+
+
+def _canonical_edges(text) -> Optional[tuple]:
+    """(k, n, (m, 3) int64 edge array) for text in graph_to_json's form
+    with at least one edge, else None.  Numbers with a leading zero or
+    over 18 digits are declined: np.fromstring reads "01" as 1 and
+    saturates past int64, where JSON rejects or keeps them."""
+    if not (isinstance(text, str) and text.isascii() and text.startswith('{"edges":[[')):
+        return None
+    end = text.rfind('],"format":')
+    tail = end > 0 and _CANON_TAIL.fullmatch(text, end)
+    if not tail:
+        return None
+    body = text[len('{"edges":['):end].encode("ascii")  # "[d,d,d],...,[d,d,d]"
+    cls = np.frombuffer(body.translate(_CANON_CLASS), dtype=np.uint8)
+    keep = np.ones(len(cls), dtype=bool)  # collapse each run of digits
+    np.logical_or(cls[1:], cls[:-1], out=keep[1:])
+    skeleton = cls[keep]
+    del cls, keep
+    m = (len(skeleton) + 1) // 8
+    if not (len(skeleton) == 8 * m - 1
+            and (skeleton[:-7].reshape(-1, 8) == _CANON_EDGE).all()
+            and (skeleton[-7:] == _CANON_EDGE[:7]).all()):
+        return None
+    del skeleton
+    body = body.translate(bytes.maketrans(b"[]", b"  "))
+    vals = np.fromstring(body, dtype=np.int64, sep=",")
+    if vals.size != 3 * m or (top := int(vals.max())) >= 10**18:
+        return None
+    # the values' digit counts add up to the body's length less its 5m - 1
+    # brackets and commas exactly when no number has a leading zero
+    digits = vals.size + sum(int(np.count_nonzero(vals >= 10**p)) for p in range(1, len(str(top))))
+    if digits != len(body) - (5 * m - 1):
+        return None
+    return int(tail[1]), int(tail[2]), vals.reshape(m, 3)
+
+
 def graph_from_json(text: str) -> BlowupGraph:
+    """Load a graph.  Text in graph_to_json's form is read into one int64
+    edge array with no Python object per edge; any other text goes
+    through json.loads and graph_from_json_dict, with the cyclic garbage
+    collector paused.  Both paths share build_graph's checks."""
+    canonical = _canonical_edges(text)
+    if canonical is not None:
+        return build_graph(*canonical)
     with _gc_paused():
         return graph_from_json_dict(json.loads(text))
 

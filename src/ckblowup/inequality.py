@@ -610,8 +610,9 @@ class Certificate:
     strict, 0 otherwise) or a derived combination of one (see
     _pruning_constraints).
 
-    ``verify`` uses the Fraction reference (Constraint.sup) only, never
-    the prover's int decisions or float screen."""
+    ``verify`` uses the Fraction reference (the upper ends of _range and,
+    where F does not decide a leaf, _mean_value) only, never the
+    prover's int decisions or float screen."""
 
     sid: str
     margin: Fraction
@@ -630,19 +631,21 @@ class Certificate:
             box = dict(items)
             if set(box) != set(system.variables):
                 return False
-            env = {}
             piece = F(1)
             for v, (lo, hi) in box.items():
                 rlo, rhi = system.box[v]
                 if not (rlo <= lo <= hi <= rhi):
                     return False
-                env[v] = Interval(lo, hi)
                 piece *= hi - lo
             vol += piece
             if cname not in cons:
                 return False
             c, cut = cons[cname]
-            if not c.sup(env) < cut:
+            los = {v: lo for v, (lo, _) in box.items()}
+            his = {v: hi for v, (_, hi) in box.items()}
+            # sup < cut, with M evaluated only where F does not decide
+            if not (_range(c._table.terms, los, his)[1] < cut
+                    or _mean_value(c._table, los, his)[1] < cut):
                 return False
         root = F(1)
         for v, (lo, hi) in system.box.items():

@@ -3,7 +3,9 @@ tiling validation, JSON round trips."""
 
 import gc
 import json
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ import pytest
 from ckblowup.core import (
     BlowupGraph,
     PreconditionError,
+    _canonical_edges,
     build_graph,
     degree_profile,
     graph_from_json,
+    graph_from_json_dict,
     graph_to_dot,
     graph_to_json,
     part_after,
@@ -155,6 +159,94 @@ def test_json_rejects_wrong_format():
         graph_from_json(json.dumps({"format": "other/9", "k": 3, "n": 1, "edges": []}))
     with pytest.raises(PreconditionError):
         graph_from_json(json.dumps({"format": "ckblowup/1", "k": 3, "n": 1}))
+
+
+def canonical(k, edges, n=2):
+    return json.dumps({"edges": edges, "format": "ckblowup/1", "k": k, "n": n},
+                      sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def outcome(load):
+    """A loader's result: the graph, or the type and message it raised."""
+    try:
+        return load()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def assert_same_as_json_path(text):
+    # BlowupGraph equality is structural; a graph never equals a (type, message) pair
+    assert outcome(lambda: graph_from_json(text)) == outcome(
+        lambda: graph_from_json_dict(json.loads(text)))
+
+
+SAMPLE = graph_to_json(random_min_degree(3, 5, [3] * 3, seed=4))
+RANDOM_TEXTS = {k: graph_to_json(random_min_degree(k, 7, [4] * k, seed=k)) for k in (3, 4, 5)}
+
+# (text, whether the canonical reader takes it)
+LOADER_CASES = {
+    **{f"random k={k}": (t, True) for k, t in RANDOM_TEXTS.items()},
+    "whitespace": (RANDOM_TEXTS[3].replace(",", ", "), False),
+    "keys reordered": (json.dumps(json.loads(RANDOM_TEXTS[4])), False),
+    "no edges": (canonical(3, []), False),
+    "leading zero": (canonical(3, [[1, 0, 1]]).replace("[1,0,1]", "[1,01,1]"), False),
+    "double zero": (canonical(3, [[1, 0, 1]]).replace("[1,0,1]", "[1,00,1]"), False),
+    "plus sign": (canonical(3, [[1, 0, 1]]).replace("[1,0,1]", "[+3,0,1]"), False),
+    "trailing comma": (canonical(3, [[1, 0, 1]]).replace("]]", "],]"), False),
+    "19 digits": (canonical(3, [[1, 0, 1], [1, 0, 10**18]]), False),
+    "25 digits": (canonical(3, [[1, 0, 1], [1, 0, 10**24]]), False),
+    "18 digits": (canonical(3, [[1, 0, 1], [1, 0, 10**17]]), True),
+    "pair": (canonical(3, [[1, 0, 1], [1, 0]]), False),
+    "quad": (canonical(3, [[1, 0, 1, 1]]), False),
+    "non-ASCII": (canonical(3, [[1, 0, 1]]).replace("ckblowup/1", "ckblowup/1\u00e9"), False),
+    "k=0": (canonical(0, [[1, 0, 1]]), False),
+    "k=03": (canonical(3, [[1, 0, 1]]).replace('"k":3', '"k":03'), False),
+    "k=1": (canonical(1, [[1, 0, 1]]), True),
+    "part out of range": (canonical(3, [[1, 0, 1], [4, 0, 0]]), True),
+    "part 0": (canonical(3, [[0, 0, 1]]), True),
+    "index out of range": (canonical(3, [[1, 0, 1], [2, 2, 0]]), True),
+    "no final newline": (SAMPLE.rstrip("\n"), True),
+    "two final newlines": (SAMPLE + "\n", False),
+}
+
+
+@pytest.mark.parametrize("name", LOADER_CASES)
+def test_canonical_reader_matches_json_path(name):
+    text, fast = LOADER_CASES[name]
+    assert (_canonical_edges(text) is not None) == fast
+    assert_same_as_json_path(text)
+    if name.startswith("random"):
+        assert graph_to_json(graph_from_json(text)) == text
+
+
+def test_canonical_reader_matches_json_path_on_mutations():
+    rng = random.Random(9)
+    alphabet = '0123456789[],{}":- .ex\n'
+    for _ in range(200):
+        i = rng.randrange(len(SAMPLE))
+        c = rng.choice(alphabet)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = SAMPLE[:i] + c + SAMPLE[i + 1:]
+        elif edit == 1:
+            text = SAMPLE[:i] + c + SAMPLE[i:]
+        else:
+            text = SAMPLE[:i] + SAMPLE[i + 1:]
+        assert_same_as_json_path(text)
+
+
+def test_canonical_load_makes_no_object_per_edge():
+    G = random_min_degree(4, 300, [250] * 4, seed=1)
+    text = graph_to_json(G)
+    tracemalloc.start()
+    try:
+        H = graph_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H == G
+    # the edge array alone is about 2 x len(text); per-edge lists peak above 10 x
+    assert peak < 4 * len(text)
 
 
 def test_dot_export_mentions_every_part_and_edge():
