@@ -90,6 +90,8 @@ def _parse_deltas(text: str, k: int) -> list:
 
 def cmd_generate(args) -> int:
     blocks = None
+    if args.family in ("complete", "random") and (args.n is None or args.n < 1):
+        raise SystemExit(f"error: --family {args.family} needs --n of at least 1, got {args.n}")
     if args.family == "complete":
         G = complete_blowup(args.k, args.n)
     elif args.family == "haggkvist":
@@ -101,6 +103,8 @@ def cmd_generate(args) -> int:
         if args.seed is None:
             print("error: --seed is required for --family random", file=sys.stderr)
             return 2
+        if args.deltas is None:
+            raise SystemExit("error: --deltas is required for --family random")
         deltas = _parse_deltas(args.deltas, args.k)
         G = random_min_degree(args.k, args.n, deltas, args.seed)
     _write_out(graph_to_json(G), args.out)
@@ -199,10 +203,10 @@ def cmd_tile(args) -> int:
 
 def cmd_cover(args) -> int:
     G = _load_graph(args.graph)
-    res = cover_number(G, upper_hint=args.upper_hint, time_budget_ms=args.budget_ms)
+    res = cover_number(G, time_budget_ms=args.budget_ms)
     payload = {
         "size": res.size,
-        "witness": None if res.witness is None else [list(v) for v in res.witness],
+        "witness": [list(v) for v in res.witness],
         "optimal": res.optimal,
         "nodes_expanded": res.nodes,
         "millis": round(res.millis, 3),
@@ -354,8 +358,13 @@ def cmd_dot(args) -> int:
     G = _load_graph(args.graph)
     blocks = None
     if args.blocks:
-        with open(args.blocks, "r", encoding="utf-8") as fh:
-            blocks = json.load(fh)["blocks"]
+        try:
+            with open(args.blocks, "r", encoding="utf-8") as fh:
+                blocks = json.load(fh)["blocks"]
+        except OSError as exc:
+            raise SystemExit(f"error: cannot read {args.blocks}: {exc}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SystemExit(f"error: {args.blocks} is not a blocks JSON file: {exc!r}")
     _write_out(graph_to_dot(G, blocks=blocks), args.out)
     return 0
 
@@ -399,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser("cover", help="minimum transversal cycle cover")
     cv.add_argument("graph")
     cv.add_argument("--budget-ms", type=float)
-    cv.add_argument("--upper-hint", type=int)
     cv.add_argument("--out", default="-")
     cv.set_defaults(func=cmd_cover)
 

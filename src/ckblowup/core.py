@@ -18,23 +18,28 @@ Conventions, used consistently across the package:
   p-1 standing for vertex i of V_p, and read adjacency as rows of such
   bitsets (``pair_bits``);
 * graphs are immutable once built.  Search code that deletes vertices
-  clears bits of its vertex set, never rebuilds the graph.
+  clears bits of its vertex set, never rebuilds the graph;
+* a graph file (``graph_to_json``) is JSON of the form
+  ``{"format": "ckblowup/2", "k": k, "n": n, "pairs": [...]}``: pair i is
+  the base64 of ``np.packbits(pair_matrix(i), bitorder="little")``, the
+  row-major matrix packed 8 entries a byte, lowest bit first, with any
+  unused bits of the last byte zero.  ``ckblowup/1`` files, which list
+  the edges as (i, u, w) triples, are still read.
 """
 
 from __future__ import annotations
 
-import gc
+import base64
 import json
-import re
 from array import array
-from contextlib import contextmanager
 from itertools import chain
 from numbers import Integral
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-JSON_FORMAT = "ckblowup/1"
+JSON_FORMAT = "ckblowup/2"
+_V1_FORMAT = "ckblowup/1"  # edge lists, still read
 
 Cycle = tuple  # tuple of k vertex indices, position p <-> part p+1
 
@@ -63,6 +68,13 @@ def part_before(k: int, i: int) -> int:
     return (i - 2) % k + 1
 
 
+def _check_sizes(k: int, n: int) -> None:
+    if k < 3:
+        raise PreconditionError(f"k must be >= 3, got {k}")
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+
+
 def bit_rows(mat: np.ndarray) -> tuple:
     """The rows of a 2-D boolean array as ints: bit w of entry u is mat[u, w]."""
     packed = np.packbits(mat, axis=1, bitorder="little")
@@ -79,10 +91,7 @@ class BlowupGraph:
     __slots__ = ("k", "n", "_adj", "_bits")
 
     def __init__(self, k: int, n: int, adjacency: Sequence[np.ndarray]):
-        if k < 3:
-            raise PreconditionError(f"k must be >= 3, got {k}")
-        if n < 1:
-            raise PreconditionError(f"n must be >= 1, got {n}")
+        _check_sizes(k, n)
         if len(adjacency) != k:
             raise PreconditionError(f"need {k} pair matrices, got {len(adjacency)}")
         mats = []
@@ -149,27 +158,20 @@ class BlowupGraph:
 def build_graph(k: int, n: int, edges: Iterable[tuple]) -> BlowupGraph:
     """Build a graph from (i, u, w) triples, u in V_i adjacent to w in V_{i+1}.
 
-    ``edges`` may also be an (m, 3) int64 array, which is used as is.
     Duplicate edges merge silently; non-integer entries, non-triples
     and out-of-range parts or indices raise, naming the first bad edge.
     """
-    if k < 3:
-        raise PreconditionError(f"k must be >= 3, got {k}")
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (3,):
-        arr = edges
-    else:
-        if not isinstance(edges, (list, tuple)):
-            edges = list(edges)
-        try:
-            flat = array("q", chain.from_iterable(edges))  # takes ints that fit int64
-            triples = set(map(len, edges)) <= {3}
-        except (TypeError, OverflowError):
-            triples = False
-        if not triples:
-            raise PreconditionError(_first_bad_edge(k, n, edges))
-        arr = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+    _check_sizes(k, n)
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
+    try:
+        flat = array("q", chain.from_iterable(edges))  # takes ints that fit int64
+        triples = set(map(len, edges)) <= {3}
+    except (TypeError, OverflowError):
+        triples = False
+    if not triples:
+        raise PreconditionError(_first_bad_edge(k, n, edges))
+    arr = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
     part, ends = arr[:, 0], arr[:, 1:]
     bad = (part < 1) | (part > k) | (ends < 0).any(axis=1) | (ends >= n).any(axis=1)
     if bad.any():
@@ -251,110 +253,70 @@ def validate_tiling(G: BlowupGraph, cycles: Sequence[Sequence[int]]) -> Optional
 # serialization
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, restoring its earlier state.
-
-    A graph file holds one small list per edge, none of them in a cycle;
-    a running collector would walk them all, again and again, while the
-    lists are built.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def graph_to_json_dict(G: BlowupGraph) -> dict:
-    edges = []
-    for i in range(1, G.k + 1):
-        nz = np.argwhere(G.pair_matrix(i))  # row-major, the order of edges()
-        edges.extend(np.column_stack((np.full(len(nz), i), nz)).tolist())
-    return {"format": JSON_FORMAT, "k": G.k, "n": G.n, "edges": edges}
+    pairs = [base64.b64encode(np.packbits(m, bitorder="little")).decode("ascii")
+             for m in G._adj]
+    return {"format": JSON_FORMAT, "k": G.k, "n": G.n, "pairs": pairs}
 
 
 def graph_to_json(G: BlowupGraph) -> str:
     """Canonical JSON text; loading and re-emitting is byte-identical."""
-    with _gc_paused():
-        obj = graph_to_json_dict(G)
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(graph_to_json_dict(G), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def graph_from_json_dict(obj: dict) -> BlowupGraph:
+    """Read a graph object: the packed ``ckblowup/2`` form strictly, or a
+    ``ckblowup/1`` edge list through build_graph."""
     if not isinstance(obj, dict):
         raise PreconditionError("graph JSON must be an object")
     fmt = obj.get("format")
-    if fmt != JSON_FORMAT:
-        raise PreconditionError(f"unsupported format {fmt!r}, expected {JSON_FORMAT!r}")
-    for key in ("k", "n", "edges"):
+    if fmt not in (JSON_FORMAT, _V1_FORMAT):
+        raise PreconditionError(
+            f"unsupported format {fmt!r}, expected {JSON_FORMAT!r} or {_V1_FORMAT!r}")
+    body = "pairs" if fmt == JSON_FORMAT else "edges"
+    for key in ("k", "n", body):
         if key not in obj:
             raise PreconditionError(f"graph JSON missing key {key!r}")
     for key in ("k", "n"):
         if not isinstance(obj[key], int) or isinstance(obj[key], bool):
             raise PreconditionError(f"graph JSON key {key!r} must be an integer")
-    if not isinstance(obj["edges"], list):
-        raise PreconditionError("graph JSON key 'edges' must be a list")
-    return build_graph(obj["k"], obj["n"], obj["edges"])
+    if not isinstance(obj[body], list):
+        raise PreconditionError(f"graph JSON key {body!r} must be a list")
+    if fmt == _V1_FORMAT:
+        return build_graph(obj["k"], obj["n"], obj["edges"])
+    return BlowupGraph(obj["k"], obj["n"], _unpack_pairs(obj["k"], obj["n"], obj["pairs"]))
 
 
-# graph_to_json's form: no whitespace, keys sorted, so the edges come first.
-# Classes of the edge body's bytes: a digit is 0, "[", "]" and "," are
-# themselves, anything else is "?".
-_CANON_TAIL = re.compile(
-    r'\],"format":"ckblowup/1","k":([1-9][0-9]{0,8}),"n":([1-9][0-9]{0,8})}\n?')
-_CANON_CLASS = bytes(0 if chr(b) in "0123456789" else b if chr(b) in "[]," else ord("?")
-                     for b in range(256))
-_CANON_EDGE = np.frombuffer(b"[\0,\0,\0],", dtype=np.uint8)
-
-
-def _canonical_edges(text) -> Optional[tuple]:
-    """(k, n, (m, 3) int64 edge array) for text in graph_to_json's form
-    with at least one edge, else None.  Numbers with a leading zero or
-    over 18 digits are declined: np.fromstring reads "01" as 1 and
-    saturates past int64, where JSON rejects or keeps them."""
-    if not (isinstance(text, str) and text.isascii() and text.startswith('{"edges":[[')):
-        return None
-    end = text.rfind('],"format":')
-    tail = end > 0 and _CANON_TAIL.fullmatch(text, end)
-    if not tail:
-        return None
-    body = text[len('{"edges":['):end].encode("ascii")  # "[d,d,d],...,[d,d,d]"
-    cls = np.frombuffer(body.translate(_CANON_CLASS), dtype=np.uint8)
-    keep = np.ones(len(cls), dtype=bool)  # collapse each run of digits
-    np.logical_or(cls[1:], cls[:-1], out=keep[1:])
-    skeleton = cls[keep]
-    del cls, keep
-    m = (len(skeleton) + 1) // 8
-    if not (len(skeleton) == 8 * m - 1
-            and (skeleton[:-7].reshape(-1, 8) == _CANON_EDGE).all()
-            and (skeleton[-7:] == _CANON_EDGE[:7]).all()):
-        return None
-    del skeleton
-    body = body.translate(bytes.maketrans(b"[]", b"  "))
-    vals = np.fromstring(body, dtype=np.int64, sep=",")
-    if vals.size != 3 * m or (top := int(vals.max())) >= 10**18:
-        return None
-    # the values' digit counts add up to the body's length less its 5m - 1
-    # brackets and commas exactly when no number has a leading zero
-    digits = vals.size + sum(int(np.count_nonzero(vals >= 10**p)) for p in range(1, len(str(top))))
-    if digits != len(body) - (5 * m - 1):
-        return None
-    return int(tail[1]), int(tail[2]), vals.reshape(m, 3)
+def _unpack_pairs(k: int, n: int, pairs: list) -> list:
+    """The k (n, n) matrices of a ``ckblowup/2`` ``"pairs"`` list, each
+    checked to be exactly the string graph_to_json writes for it."""
+    _check_sizes(k, n)
+    if len(pairs) != k:
+        raise PreconditionError(f"need {k} pair strings, got {len(pairs)}")
+    size, spare = -(-n * n // 8), -n * n % 8  # bytes, and unused bits of the last
+    mats = []
+    for i, text in enumerate(pairs, start=1):
+        if not isinstance(text, str):
+            raise PreconditionError(f"pair {i} must be a base64 string")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:
+            raise PreconditionError(f"pair {i} is not valid base64") from None
+        if len(raw) != size:
+            raise PreconditionError(f"pair {i} has {len(raw)} bytes, expected {size}")
+        # b64decode ignores the unused low bits of a padded last quantum
+        if size % 3 and text[-4:] != base64.b64encode(raw[-(size % 3):]).decode():
+            raise PreconditionError(f"pair {i} is not canonical base64")
+        if spare and raw[-1] >> (8 - spare):
+            raise PreconditionError(f"pair {i} has nonzero padding bits")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * n, bitorder="little")
+        mats.append(bits.view(bool).reshape(n, n))
+    return mats
 
 
 def graph_from_json(text: str) -> BlowupGraph:
-    """Load a graph.  Text in graph_to_json's form is read into one int64
-    edge array with no Python object per edge; any other text goes
-    through json.loads and graph_from_json_dict, with the cyclic garbage
-    collector paused.  Both paths share build_graph's checks."""
-    canonical = _canonical_edges(text)
-    if canonical is not None:
-        return build_graph(*canonical)
-    with _gc_paused():
-        return graph_from_json_dict(json.loads(text))
+    """Load a graph from JSON text (see graph_from_json_dict)."""
+    return graph_from_json_dict(json.loads(text))
 
 
 def graph_to_dot(G: BlowupGraph, blocks: Optional[dict] = None) -> str:

@@ -260,7 +260,7 @@ def is_cover(G: BlowupGraph, Z, alive=None) -> bool:
 @dataclass
 class CoverResult:
     size: int
-    witness: Optional[list]
+    witness: list
     optimal: bool
     nodes: int
     millis: float
@@ -268,7 +268,6 @@ class CoverResult:
 
 def cover_number(
     G: BlowupGraph,
-    upper_hint: Optional[int] = None,
     time_budget_ms: Optional[float] = None,
 ) -> CoverResult:
     """Minimum size of a transversal cycle cover, by branch and bound on
@@ -277,17 +276,12 @@ def cover_number(
     At each node the deterministic enumerator packs disjoint uncovered
     cycles; the packing size is an additive lower bound, and its first
     cycle is the branching constraint (one branch per cycle vertex).
-    V_1 is always a cover, so the incumbent starts at size n.  If
-    ``upper_hint`` is given it must be the size of a cover known to
-    exist; when the optimum equals the hint the returned witness may
-    then be None (the search only proves nothing smaller exists).
+    V_1 is always a cover, so the incumbent starts at size n.
     """
     n = G.n
     start = time.monotonic()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
     best_size, witness = n, [VertexRef(1, i) for i in range(n)]
-    if upper_hint is not None and upper_hint < n:
-        best_size, witness = upper_hint, None
     nodes = 0
     timed_out = False
 

@@ -8,7 +8,14 @@ import json
 import pytest
 
 from ckblowup.cli import build_parser, main
-from ckblowup.core import build_graph, graph_from_json, graph_to_json, degree_profile
+from ckblowup.core import (
+    VertexRef,
+    build_graph,
+    degree_profile,
+    graph_from_json,
+    graph_to_json,
+)
+from ckblowup.exact import is_cover
 from ckblowup.generators import complete_blowup, haggkvist_example
 
 
@@ -77,6 +84,24 @@ def test_generate_cover_family(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "complete", "--k", "3"],
+    ["--family", "complete", "--k", "3", "--n", "-1"],
+    ["--family", "complete", "--k", "3", "--n", "0"],
+    ["--family", "random", "--k", "3", "--deltas", "1,1,1", "--seed", "1"],
+    ["--family", "random", "--k", "3", "--n", "-2", "--deltas", "1,1,1", "--seed", "1"],
+])
+def test_generate_needs_positive_n(argv, capsys):
+    assert main(["generate", *argv]) == 2
+    assert "error: --family" in capsys.readouterr().err
+
+
+def test_generate_random_requires_deltas(capsys):
+    assert main(["generate", "--family", "random", "--k", "3", "--n", "6",
+                 "--seed", "1"]) == 2
+    assert "error: --deltas is required" in capsys.readouterr().err
+
+
 def test_generate_bad_deltas_string(capsys):
     assert main(["generate", "--family", "random", "--k", "3", "--n", "6",
                  "--deltas", "4,x,4", "--seed", "1"]) == 2
@@ -110,6 +135,13 @@ def test_wrong_payload_exits_2(tmp_path, capsys):
     bad.write_text('{"format": "other/9"}')
     assert main(["check", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_malformed_packed_pair_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format":"ckblowup/2","k":3,"n":3,"pairs":["/wE=","/wM=","/wE="]}')
+    assert main(["check", str(bad)]) == 2
+    assert "pair 2 has nonzero padding bits" in capsys.readouterr().err
 
 
 def test_malformed_edge_exits_2(tmp_path, capsys):
@@ -189,9 +221,11 @@ def test_cover(hagg_file, capsys):
     assert payload["size"] == 5
     assert payload["optimal"] is True
     assert payload["witness"] and len(payload["witness"]) == 5
-    assert main(["cover", hagg_file, "--upper-hint", "5"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["size"] == 5 and payload["witness"] is None
+    G, _ = haggkvist_example(3, 1)
+    assert is_cover(G, [VertexRef(*v) for v in payload["witness"]])
+    with pytest.raises(SystemExit):  # the trusted size hint is gone
+        main(["cover", hagg_file, "--upper-hint", "5"])
+    capsys.readouterr()
 
 
 def test_linking(tmp_path, capsys):
@@ -321,6 +355,22 @@ def test_dot_with_blocks(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.startswith("graph ckblowup {")
     assert 'label="U_1:0"' in text
+
+
+@pytest.mark.parametrize("blocks,message", [
+    (None, "cannot read"),
+    ("[1, 2", "is not a blocks JSON file"),
+    ("\xff", "is not a blocks JSON file"),
+    ('{"U_1": [0]}', "is not a blocks JSON file"),
+    ("[]", "is not a blocks JSON file"),
+])
+def test_dot_rejects_bad_blocks_file(hagg_file, tmp_path, blocks, message, capsys):
+    path = tmp_path / "blocks.json"
+    if blocks is not None:
+        path.write_text(blocks, encoding="latin-1")
+    assert main(["dot", hagg_file, "--blocks", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_parser_covers_all_subcommands():

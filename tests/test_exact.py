@@ -201,14 +201,6 @@ def test_cover_number_tight_example():
     assert res.witness == [(1, 4), (1, 5), (2, 4), (2, 5), (3, 5)]
 
 
-def test_cover_number_upper_hint_skips_witness():
-    G, _ = haggkvist_example(3, 1)
-    res = cover_number(G, upper_hint=5)
-    assert res.optimal and res.size == 5
-    # the hint is trusted, so only the lower bound was searched
-    assert res.witness is None
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_weak_duality_tiling_vs_cover(seed):
     G = random_min_degree(3, 5, [2, 3, 2], seed=500 + seed)
