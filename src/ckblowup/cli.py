@@ -243,6 +243,13 @@ def cmd_verify(args) -> int:
     systems = list(args.system)
     if systems == ["all"]:
         systems = list(ALL_SYSTEMS)
+    known = ALL_SYSTEMS + ("B1w",)
+    for sid in systems:
+        if sid not in known:
+            raise SystemExit(f"error: unknown system {sid!r}; expected "
+                             f"{', '.join(known)}, or 'all' alone")
+    if args.max_depth < 0:
+        raise SystemExit(f"error: --max-depth must be at least 0, got {args.max_depth}")
     try:
         margin = Fraction(args.margin)
     except (ValueError, ZeroDivisionError):
@@ -365,6 +372,9 @@ def cmd_dot(args) -> int:
             raise SystemExit(f"error: cannot read {args.blocks}: {exc}")
         except (ValueError, KeyError, TypeError) as exc:
             raise SystemExit(f"error: {args.blocks} is not a blocks JSON file: {exc!r}")
+        if not isinstance(blocks, dict):
+            raise SystemExit(f"error: {args.blocks} is not a blocks JSON file: "
+                             "'blocks' is not an object")
     _write_out(graph_to_dot(G, blocks=blocks), args.out)
     return 0
 

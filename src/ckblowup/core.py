@@ -323,14 +323,23 @@ def graph_to_dot(G: BlowupGraph, blocks: Optional[dict] = None) -> str:
     """Graphviz text with one ranked cluster per part.
 
     ``blocks`` (optional) maps block names like "U_1" to index lists inside
-    the named part and is rendered as node labels.
+    the named part and is rendered as node labels.  A name must end in
+    "_<part>" with part in 1..k, and every index must lie in 0..n-1;
+    anything else raises PreconditionError.
     """
     label = {}
     if blocks:
         for name, ids in blocks.items():
-            part = int(name.rsplit("_", 1)[1])
+            _, sep, part = name.rpartition("_")
+            if not (sep and part.isdecimal() and 1 <= int(part) <= G.k):
+                raise PreconditionError(
+                    f"block name {name!r} does not end in _<part> with part in 1..{G.k}")
+            if not (isinstance(ids, list)
+                    and all(type(i) is int and 0 <= i < G.n for i in ids)):
+                raise PreconditionError(
+                    f"block {name!r} must list indices in 0..{G.n - 1}")
             for idx in ids:
-                label[(part, idx)] = name
+                label[(int(part), idx)] = name
     lines = ["graph ckblowup {"]
     for p in range(1, G.k + 1):
         lines.append(f"  subgraph cluster_{p} {{")

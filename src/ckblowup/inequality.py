@@ -28,12 +28,15 @@ survives is bisected along its widest side.
 
 Each constraint compiles once into a table of two enclosure forms, read
 three ways.  The prover steers with one float screen (_FloatScreen)
-that evaluates every pruning constraint over a batch of boxes at once;
-it decides every leaf and every lattice prune exactly, in Python ints
-on the table scaled to integer coefficients (_int_table, _int_box).
-Certificate.verify re-checks the leaves with the plain Fraction
-evaluation of the same two forms (Constraint.sup), which shares no
-evaluator with the prover.
+that evaluates every pruning constraint over a batch of boxes at once,
+each distinct affine form, term product, monomial and derivative slop
+once; it decides every leaf and every lattice prune exactly, in Python
+ints on the table scaled to integer coefficients (_int_table, _int_box).
+The feasible-point test, the closing volume check and the leaf sort are
+exact in ints too.  Certificate.verify re-checks the leaves with the
+plain Fraction evaluation of the same two forms (_range, _mean_value),
+which shares no evaluator with the prover, and checks that the leaves
+partition the box.
 
 The grid scanner reports the minimum constraint violation over a full
 lattice, pruning grid-aligned blocks with the same interval enclosures,
@@ -338,6 +341,28 @@ def _int_range(const: int, lin: tuple, S: int, lo: dict, hi: dict) -> tuple:
     return flo, fhi
 
 
+def _int_value(monos: list, spow: tuple, point: dict) -> int:
+    """M*S^2 times the expanded form at x, from the _int_table monomials
+    and the scaled point X = S*x, with spow = (S^2, S, 1)."""
+    total = 0
+    for coef, names in monos:
+        t = coef * spow[len(names)]
+        for v in names:
+            t *= point[v]
+        total += t
+    return total
+
+
+def _int_holds(constraints: Sequence, S: int, point: dict) -> bool:
+    """System.holds_at for the scaled point X = S*x, decided in ints."""
+    spow = (S * S, S, 1)
+    for c in constraints:
+        val = _int_value(c._itable[2], spow, point)
+        if val < 0 or (val == 0 and c.kind == "gt"):
+            return False
+    return True
+
+
 @dataclass
 class Constraint:
     """expression >= 0 when kind == "ge"; expression > 0 when "gt".
@@ -395,12 +420,7 @@ class Constraint:
             shi += thi
         if (shi * den < lim) if strict else (shi * den <= lim):
             return True
-        center = 0
-        for coef, names in monos:
-            t = coef * spow[len(names)]
-            for v in names:
-                t *= mid[v]
-            center += t
+        center = _int_value(monos, spow, mid)
         slop = 0
         for v, const, lin in derivs:
             dlo, dhi = _int_range(const, lin, S, lo, hi)
@@ -423,37 +443,37 @@ class _FloatScreen:
     scan order only; nothing it reports is recorded without an exact
     decision.
 
-    Every affine form of every constraint is one column: each term's two
-    factors (the coefficient folded into the first, a missing factor
-    padded as the constant 1) and each partial derivative.  Their ranges
-    come from one matmul of [lo, hi] against the positive and negative
-    parts.  Monomials index the midpoint, padded with a column of ones,
-    and 0/1 matrices sum terms, monomials and derivative slops into
-    their constraints."""
+    Each distinct affine form is one column: a term's two factors (the
+    coefficient folded into the first, a missing factor padded as the
+    constant 1) and each partial derivative.  Their ranges come from one
+    matmul of [lo, hi] against the positive and negative parts.  A
+    derived combination c + w*s repeats c's terms verbatim, so each
+    distinct term pair, monomial (indexing the midpoint, padded with a
+    column of ones) and (derivative form, variable) slop is evaluated
+    once, and matrices of counts and coefficients sum them into their
+    constraints."""
 
     def __init__(self, constraints: Sequence[Constraint], variables: tuple):
         col = {v: i for i, v in enumerate(variables)}
         n = len(variables)
         one = (F(1), ())
-        firsts, seconds, derivs = [], [], []
-        term_of, mono_of, deriv_of = [], [], []
-        mcoef, mcols, dcols = [], [], []
+        forms, pairs, monos, slops = {}, {}, {}, {}
+        fsum, msum, ssum = [], [], []  # (row, constraint, weight)
+
+        def key(table: dict, item) -> int:
+            return table.setdefault(item, len(table))
+
         for j, c in enumerate(constraints):
             table = c._table
             for coef, fs in table.terms:
                 f1, f2 = (tuple(fs) + (one, one))[:2]
-                firsts.append((coef * f1[0], tuple((v, coef * a) for v, a in f1[1])))
-                seconds.append(f2)
-                term_of.append(j)
+                first = (coef * f1[0], tuple((v, coef * a) for v, a in f1[1]))
+                fsum.append((key(pairs, (key(forms, first), key(forms, f2))), j, 1.0))
             for coef, names in table.monos:
-                mcoef.append(float(coef))
-                mcols.append([col[v] for v in names] + [n] * (2 - len(names)))
-                mono_of.append(j)
+                cols = tuple([col[v] for v in names] + [n] * (2 - len(names)))
+                msum.append((key(monos, cols), j, float(coef)))
             for v, form in table.derivs:
-                derivs.append(form)
-                dcols.append(col[v])
-                deriv_of.append(j)
-        forms = firsts + seconds + derivs
+                ssum.append((key(slops, (key(forms, form), col[v])), j, 1.0))
         A = np.zeros((n, len(forms)))
         const = np.array([float(k) for k, _ in forms])
         for r, (_, lin) in enumerate(forms):
@@ -462,28 +482,36 @@ class _FloatScreen:
         pos, neg = np.maximum(A, 0.0), np.minimum(A, 0.0)
         self._ends = np.block([[pos, neg], [neg, pos]])  # [lo, hi] -> [lows, highs]
         self._const = np.concatenate([const, const])
-        self._T, self._R = len(firsts), len(forms)
-        self._mcoef = np.array(mcoef)
-        self._mcols = np.array(mcols, dtype=np.intp).reshape(-1, 2)
-        self._dcols = np.array(dcols, dtype=np.intp)
+        self._R = len(forms)
+        self._pairs, self._monos, self._slops = (
+            np.array(list(d), dtype=np.intp).reshape(-1, 2).T for d in (pairs, monos, slops))
         C = len(constraints)
-        self._term_sum = np.eye(C)[term_of]
-        self._mv_sum = np.eye(C)[mono_of + deriv_of]
+        self._term_sum = _weights(fsum, len(pairs), C)
+        self._mv_sum = np.vstack([_weights(msum, len(monos), C),
+                                  _weights(ssum, len(slops), C)])
 
     def __call__(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """(B, dim) box bounds in, (B, n_constraints) float sups out."""
-        T, R = self._T, self._R
+        R = self._R
         ends = np.concatenate([los, his], axis=1) @ self._ends + self._const
         lows, highs = ends[:, :R], ends[:, R:]
-        a, b = lows[:, :T], highs[:, :T]
-        c, d = lows[:, T:2 * T], highs[:, T:2 * T]
+        p1, p2 = self._pairs
+        a, b, c, d = lows[:, p1], highs[:, p1], lows[:, p2], highs[:, p2]
         fhi = np.maximum(np.maximum(a * c, a * d), np.maximum(b * c, b * d))
         mid = np.concatenate([(los + his) / 2, np.ones((los.shape[0], 1))], axis=1)
-        center = self._mcoef * mid[:, self._mcols[:, 0]] * mid[:, self._mcols[:, 1]]
-        grad = np.maximum(np.abs(lows[:, 2 * T:]), np.abs(highs[:, 2 * T:]))
-        slop = grad * ((his - los) / 2)[:, self._dcols]
+        center = mid[:, self._monos[0]] * mid[:, self._monos[1]]
+        f, v = self._slops
+        slop = np.maximum(np.abs(lows[:, f]), np.abs(highs[:, f])) * ((his - los) / 2)[:, v]
         mv = np.concatenate([center, slop], axis=1) @ self._mv_sum
         return np.minimum(fhi @ self._term_sum, mv)
+
+
+def _weights(entries: list, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) matrix summing each (row, col, weight) entry."""
+    out = np.zeros((rows, cols))
+    for r, j, w in entries:
+        out[r, j] += w
+    return out
 
 
 @dataclass
@@ -493,10 +521,6 @@ class System:
     box: dict  # name -> (lo, hi) Fractions
     constraints: list
     note: str = ""
-
-    def midpoint(self, box=None) -> dict:
-        box = box or self.box
-        return {v: (lo + hi) / 2 for v, (lo, hi) in box.items()}
 
     def holds_at(self, point: Dict[str, Fraction]) -> bool:
         return all(c.holds_at(point) for c in self.constraints)
@@ -612,7 +636,10 @@ class Certificate:
 
     ``verify`` uses the Fraction reference (the upper ends of _range and,
     where F does not decide a leaf, _mean_value) only, never the
-    prover's int decisions or float screen."""
+    prover's int decisions or float screen.  It also checks that the
+    leaves partition the box: each lies inside it with positive width on
+    every axis, their interiors are pairwise disjoint, and their volumes
+    add up to the box's, so together they cover it."""
 
     sid: str
     margin: Fraction
@@ -627,6 +654,7 @@ class Certificate:
         cons = {c.name: (c, cut)
                 for c, cut in _pruning_constraints(system, self.margin)}
         vol = F(0)
+        sides: dict = {v: [] for v in system.variables}  # each leaf's (lo, hi)
         for items, cname in self.leaves:
             box = dict(items)
             if set(box) != set(system.variables):
@@ -634,8 +662,9 @@ class Certificate:
             piece = F(1)
             for v, (lo, hi) in box.items():
                 rlo, rhi = system.box[v]
-                if not (rlo <= lo <= hi <= rhi):
+                if not (rlo <= lo < hi <= rhi):  # a flat leaf has no interior
                     return False
+                sides[v].append(box[v])
                 piece *= hi - lo
             vol += piece
             if cname not in cons:
@@ -650,7 +679,30 @@ class Certificate:
         root = F(1)
         for v, (lo, hi) in system.box.items():
             root *= hi - lo
-        return vol == root == self.box_volume
+        return (vol == root == self.box_volume
+                and _disjoint_interiors(list(sides.values())))
+
+
+def _disjoint_interiors(sides: list) -> bool:
+    """Whether boxes have pairwise disjoint interiors, given for each
+    axis the list of the boxes' (lo, hi) Fraction pairs, lo < hi.  Each
+    endpoint is replaced by its rank among its axis's distinct
+    endpoints, which keeps every comparison, and the pairs of boxes are
+    compared on the int ranks with numpy, a block of rows at a time."""
+    n = len(sides[0]) if sides else 0
+    lo, hi = np.empty((2, len(sides), n), dtype=np.int64)
+    for d, pairs in enumerate(sides):
+        rank = {e: r for r, e in enumerate(sorted({e for pair in pairs for e in pair}))}
+        lo[d] = [rank[a] for a, _ in pairs]
+        hi[d] = [rank[b] for _, b in pairs]
+    rows = max(1, 2**15 // max(n, 1))  # keeps each block's bools at 32 KiB
+    for s in range(0, n, rows):
+        meet = np.ones((min(rows, n - s), n), dtype=bool)
+        for a, b in zip(lo, hi):
+            meet &= (a[s:s + rows, None] < b) & (a < b[s:s + rows, None])
+        if meet.sum() != len(meet):  # each box meets only its own interior
+            return False
+    return True
 
 
 class DepthExhaustedError(Exception):
@@ -754,29 +806,27 @@ def certify_infeasible(system, max_depth: int = 40,
             return None
         return exact_eliminator(box, hint=int(screened[0]))
 
-    def _dead_prefixes(flo, fhi):
-        """Largest float-dead slab numerator per (axis, side), plus the
-        index of the constraint that screened it.  A slab removes
+    nums = np.arange(2, _SHAVE_RES)  # shave never cuts a num = 1 sliver
+
+    def _dead_prefixes(flo, fhi) -> list:
+        """(axis, side, num, hint) for each face with a float-dead slab:
+        the largest dead numerator and the index of the constraint that
+        screened it, in (axis, side) order.  A slab removes
         num/_SHAVE_RES of the width from the low (side 0) or high
         (side 1) end of an axis; all of them are screened in one batch."""
-        labels = [(i, side, num) for i in range(dim) if fhi[i] > flo[i]
-                  for side in (0, 1) for num in range(1, _SHAVE_RES)]
-        if not labels:
-            return {}
-        axis, side, num = np.array(labels).T
-        rows = np.arange(len(labels))
-        step = (fhi - flo)[axis] * (num / _SHAVE_RES)
-        los, his = np.tile(flo, (len(rows), 1)), np.tile(fhi, (len(rows), 1))
-        low = side == 0
-        his[rows[low], axis[low]] = (flo[axis] + step)[low]
-        los[rows[~low], axis[~low]] = (fhi[axis] - step)[~low]
-        dead = screen(los, his) < fcut_arr + _FUZZ
-        first = dead.argmax(axis=1)
-        best: dict = {}
-        for row in np.flatnonzero(dead.any(axis=1)):  # num ascends per face
-            i, s, n = labels[row]
-            best[(i, s)] = (n, int(first[row]))
-        return best
+        axes = np.flatnonzero(fhi > flo)
+        A, K = len(axes), len(nums)
+        step = (fhi - flo)[axes, None] * (nums / _SHAVE_RES)
+        los, his = np.tile(flo, (A, 2, K, 1)), np.tile(fhi, (A, 2, K, 1))
+        rows, cols = np.arange(A)[:, None], np.arange(K)[None, :]
+        his[rows, 0, cols, axes[:, None]] = flo[axes, None] + step
+        los[rows, 1, cols, axes[:, None]] = fhi[axes, None] - step
+        dead = screen(los.reshape(-1, dim), his.reshape(-1, dim)) < fcut_arr + _FUZZ
+        first = dead.argmax(axis=1).reshape(2 * A, K)
+        hit = dead.any(axis=1).reshape(2 * A, K)
+        last = K - 1 - hit[:, ::-1].argmax(axis=1)
+        return [(int(axes[f // 2]), f % 2, int(nums[last[f]]), int(first[f, last[f]]))
+                for f in np.flatnonzero(hit.any(axis=1))]
 
     def shave(box: dict) -> bool:
         """Peel provably infeasible slabs off the faces of ``box`` in
@@ -790,14 +840,11 @@ def certify_infeasible(system, max_depth: int = 40,
         changed = False
         for _ in range(16):
             flo, fhi = _as_arrays(box)
-            best = _dead_prefixes(flo, fhi)
             round_changed = False
-            for (i, side), (num, hint) in sorted(best.items()):
+            for i, side, num, hint in _dead_prefixes(flo, fhi):
                 v = order[i]
                 lo, hi = box[v]
                 w = hi - lo
-                if w == 0:
-                    continue
                 piece = name = None
                 while num >= 2:  # slivers under 1/8 of the face: split instead
                     # snap the cut to the global grid so endpoint
@@ -831,20 +878,20 @@ def certify_infeasible(system, max_depth: int = 40,
 
     def witness(box: dict) -> Optional[FeasiblePoint]:
         """Exact test of the box midpoint and corners against the
-        original strict system.  Corners matter: when the feasible set
-        is a thin wedge against a face, centers stay on the wrong side
-        of a curved boundary at every depth."""
-        points = [system.midpoint(box)]
+        original strict system, in ints at the _int_box scale.  Corners
+        matter: when the feasible set is a thin wedge against a face,
+        centers stay on the wrong side of a curved boundary at every
+        depth."""
+        S, lo, hi, mid, _ = _int_box(box)
         corners = [{}]
         for v in order:
-            lo, hi = box[v]
-            ends = (lo,) if lo == hi else (lo, hi)
+            ends = (lo[v],) if lo[v] == hi[v] else (lo[v], hi[v])
             corners = [dict(c, **{v: e}) for c in corners for e in ends]
-        points.extend(corners)
-        for p in points:
-            if system.holds_at(p):
-                return FeasiblePoint(system.sid, p,
-                                     {c.name: c.value(p) for c in system.constraints})
+        for p in [mid] + corners:
+            if _int_holds(system.constraints, S, p):
+                point = {v: F(p[v], S) for v in order}
+                return FeasiblePoint(system.sid, point,
+                                     {c.name: c.value(point) for c in system.constraints})
         return None
 
     def split_var(box: dict, allowed: list) -> str:
@@ -900,20 +947,32 @@ def certify_infeasible(system, max_depth: int = 40,
         return found
     if undecided:
         raise DepthExhaustedError(system.sid, undecided[0], max_depth)
+    # the volume check and the sort, exact in ints: every endpoint times
+    # L is a digit in base W.  Two endpoints of one axis differ by less
+    # than W, so one int per leaf, in its items' order, sorts the leaves
+    # as their box items do, negative endpoints included
+    root = sorted(system.box.items())
+    L = math.lcm(*{e.denominator for _, pair in root for e in pair},
+                 *{e.denominator for items, _ in leaves for _, pair in items for e in pair})
+    W = 1 + max(int((hi - lo) * L) for _, (lo, hi) in root)
     volume = F(1)
-    for v, (lo, hi) in system.box.items():
+    for _, (lo, hi) in root:
         volume *= hi - lo
-    covered = F(0)
-    for items, _ in leaves:
-        piece = F(1)
+    covered, keys = 0, []
+    for items, name in leaves:
+        key, piece = 0, 1
         for _, (lo, hi) in items:
-            piece *= hi - lo
+            a = lo.numerator * (L // lo.denominator)
+            b = hi.numerator * (L // hi.denominator)
+            key = (key * W + a) * W + b
+            piece *= b - a
         covered += piece
-    if covered != volume:
+        keys.append((key, name))
+    if covered != volume * L ** len(root):
         raise AssertionError(
-            f"{system.sid}: leaves cover {covered} of {volume}; the recursion "
-            "should partition the box exactly")
-    leaves.sort()
+            f"{system.sid}: leaves cover {F(covered, L ** len(root))} of {volume}; "
+            "the recursion should partition the box exactly")
+    leaves = [leaves[i] for i in sorted(range(len(leaves)), key=keys.__getitem__)]
     return Certificate(system.sid, margin, leaves, state["nodes"],
                        state["depth"], millis, volume)
 

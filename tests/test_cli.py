@@ -305,6 +305,19 @@ def test_verify_rejects_grid_below_1(capsys):
         assert captured.err.startswith("error: --grid")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--system", "B9"], "error: unknown system 'B9'"),
+    (["--system", "B1", "B9"], "error: unknown system 'B9'"),
+    (["--system", "all", "B1"], "error: unknown system 'all'"),
+    (["--system", "B1", "--max-depth", "-1"], "error: --max-depth"),
+])
+def test_verify_rejects_bad_argv_before_certifying(argv, message, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing was certified
+    assert captured.err.startswith(message)
+
+
 def test_verify_depth_exhaustion_exits_3(capsys):
     assert main(["verify", "--system", "B3", "--max-depth", "1"]) == 3
     assert "depth exhausted" in capsys.readouterr().err
@@ -363,6 +376,10 @@ def test_dot_with_blocks(tmp_path, capsys):
     ("\xff", "is not a blocks JSON file"),
     ('{"U_1": [0]}', "is not a blocks JSON file"),
     ("[]", "is not a blocks JSON file"),
+    ('{"blocks": [1, 2]}', "is not a blocks JSON file"),
+    ('{"blocks": {"U": [0]}}', "block name 'U'"),
+    ('{"blocks": {"U_9": [0]}}', "block name 'U_9'"),
+    ('{"blocks": {"U_1": [99]}}', "block 'U_1' must list indices"),
 ])
 def test_dot_rejects_bad_blocks_file(hagg_file, tmp_path, blocks, message, capsys):
     path = tmp_path / "blocks.json"

@@ -222,3 +222,18 @@ def test_dot_export_mentions_every_part_and_edge():
     assert dot.count("subgraph cluster_") == 3
     assert "p2_1 -- p3_1;" in dot
     assert 'label="U_1:0"' in dot
+
+
+@pytest.mark.parametrize("blocks", [
+    {"X": [0]},  # no _<part> suffix
+    {"U_x": [0]},
+    {"U_0": [0]},  # parts are 1..k
+    {"U_4": [0]},
+    {"U_1": [2]},  # indices are 0..n-1
+    {"U_1": [-1]},
+    {"U_1": [0.0]},
+    {"U_1": 0},
+])
+def test_dot_rejects_bad_block_names_and_indices(blocks):
+    with pytest.raises(PreconditionError):
+        graph_to_dot(tiny_graph(), blocks=blocks)

@@ -3,6 +3,7 @@ forms, pruning-constraint derivation, certificates and their
 re-verification, feasible-point detection, depth accounting, and the
 lattice scanner against a brute-force oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from ckblowup.inequality import (
     System,
     Var,
     _FloatScreen,
+    _int_holds,
     _pruning_constraints,
     certify_infeasible,
     grid_scan,
@@ -169,8 +171,54 @@ def test_int_decisions_and_float_screen_track_the_reference(sid):
             for cut in (sup - eps, sup, sup + eps):
                 assert c.proves(env, cut) == (sup < cut)
                 assert c.proves(env, cut, strict=False) == (sup <= cut)
-            # the float screen evaluates the same forms up to roundoff
-            assert fsups[row, j] >= float(sup) - 1e-9
+            # the float screen evaluates the same forms up to roundoff,
+            # each distinct form, pair, monomial and slop counted once
+            assert abs(fsups[row, j] - float(sup)) <= 1e-9 * max(1, abs(float(sup)))
+
+
+def critical_point(rng, system):
+    """A point whose coordinates often sit where a constraint of the
+    lemma systems is exactly zero: x = 1/3, y = 1/2 or 5/12, z = beta -
+    1/2, the corner x + y + z = 1, and so on; otherwise a random
+    rational with a certifier-like denominator."""
+    p = {}
+    for v in system.variables:
+        lo, hi = system.box[v]
+        pick = rng.randrange(3)
+        if pick == 0:
+            p[v] = rng.choice([lo, hi, F(1, 3), F(1, 2), F(5, 12), F(1, 4), F(7, 12)])
+        elif pick == 1:
+            p[v] = lo + (hi - lo) * F(rng.randrange(13), 12)
+        else:
+            p[v] = lo + (hi - lo) * F(rng.randrange(SNAP + 1), SNAP)
+        p[v] = min(max(p[v], lo), hi)
+    if rng.randrange(3) == 0:
+        p["z"] = p["beta"] - rng.choice([F(1, 2), F(1, 4)])
+    if rng.randrange(4) == 0:
+        p["x"] = 1 - p["y"] - p["z"]
+    return p
+
+
+@pytest.mark.parametrize("sid", SIX_SYSTEMS)
+def test_int_point_test_matches_holds_at(sid):
+    system = lemma_system(sid)
+    rng = random.Random(sid)
+    points = [critical_point(rng, system) for _ in range(250)]
+    points.append({"x": F(1, 2), "y": F(1, 2), "z": F(0), "beta": F(1, 2),
+                   "zeta": F(0)})  # B1's x + y + z = 1 corner
+    points.append({"x": F(21, 32), "y": F(0), "z": F(0), "beta": F(1, 2),
+                   "zeta": F(0)})  # the B1w control point
+    zeros = holds = 0
+    for p in points:
+        p = {v: p[v] for v in system.variables}
+        S = math.lcm(*(x.denominator for x in p.values()))
+        X = {v: x.numerator * (S // x.denominator) for v, x in p.items()}
+        assert _int_holds(system.constraints, S, X) == system.holds_at(p)
+        for c in system.constraints:
+            assert _int_holds([c], S, X) == c.holds_at(p)
+            zeros += c.value(p) == 0
+            holds += c.holds_at(p)
+    assert zeros >= 20 and 0 < holds < len(points) * len(system.constraints)
 
 
 def test_verify_uses_only_the_reference(monkeypatch):
@@ -314,6 +362,58 @@ def test_certificate_verify_rejects_tampering():
     # a leaf names a real constraint that does not prune it
     assert name != "x-lb"
     assert not retag(cert, [(items, "x-lb")] + cert.leaves[1:]).verify()
+
+    # the cases below keep the volume sum and every leaf proved inside
+    # the box, so only the partition check can reject them
+    b2 = certify_infeasible("B2")
+    leaves = list(b2.leaves)
+    assert leaf_volume(leaves[82]) == leaf_volume(leaves[125])
+    leaves[82] = leaves[125]
+    assert not retag(b2, leaves).verify()
+    # y-lb proves any box with y < 1/2, whatever its other sides
+    (a, a_name), (b, b_name) = cert.leaves[45], cert.leaves[48]
+    assert a_name == b_name == "y-lb"
+    assert dict(a)["x"] == (F(5, 16), F(201, 256)) and dict(b)["y"] == (F(0), F(1, 4))
+    # leaf 45 slides down x by half its width, onto its neighbours
+    shifted = with_side(a, "x", F(5, 16) - F(121, 512), F(201, 256) - F(121, 512))
+    leaves = list(cert.leaves)
+    leaves[45] = (shifted, "y-lb")
+    assert not retag(cert, leaves).verify()
+    # leaves 45 and 48 become one box of their joint volume: 48 grown
+    # along y, which is not their union
+    grow = leaf_volume(cert.leaves[45]) / leaf_volume(cert.leaves[48]) * F(1, 4)
+    merged = with_side(b, "y", F(0), F(1, 4) + grow)
+    assert F(1, 4) + grow < F(1, 2)
+    leaves = [leaf for i, leaf in enumerate(cert.leaves) if i not in (45, 48)]
+    assert not retag(cert, leaves + [(merged, "y-lb")]).verify()
+    # a flat leaf (here a face of leaf 45) adds no volume but has no
+    # interior to partition with, so it is rejected too
+    flat = with_side(a, "z", F(0), F(0))
+    assert not retag(cert, cert.leaves + [(flat, "y-lb")]).verify()
+
+
+def leaf_volume(leaf):
+    vol = F(1)
+    for _, (lo, hi) in leaf[0]:
+        vol *= hi - lo
+    return vol
+
+
+def with_side(items, var, lo, hi):
+    return tuple((v, (lo, hi) if v == var else side) for v, side in items)
+
+
+def test_certify_sorts_and_verifies_below_zero():
+    # the diagonal band moved to [-1, 1]^2: the exact sort key offsets
+    # every endpoint by the box's negative lower ends
+    x, y = Var("x"), Var("y")
+    s = System("band", ("x", "y"), {"x": (F(-1), F(1)), "y": (F(-1), F(1))},
+               [Constraint("above", x + y, "gt"), Constraint("below", -x - y, "gt")])
+    cert = certify_infeasible(s, margin=F(1, 8))
+    assert isinstance(cert, Certificate)
+    assert cert.leaves == sorted(cert.leaves)
+    assert cert.box_volume == 4
+    assert cert.verify(s)
 
 
 def test_certify_feasible_control():
