@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -78,6 +79,26 @@ def _load_graph(path: str):
         raise SystemExit(2)
 
 
+def _number(kind, ok, need: str):
+    """An argparse type converting with kind and accepting a value only
+    when ok(value) holds; anything else is a usage error (exit 2)."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+    return convert
+
+
+_POSITIVE_INT = _number(int, lambda v: v >= 1, "at least 1")
+_NONNEGATIVE_INT = _number(int, lambda v: v >= 0, "at least 0")
+_NONNEGATIVE_FLOAT = _number(float, lambda v: v >= 0, "at least 0")  # NaN fails too
+_FINITE_FLOAT = _number(float, math.isfinite, "finite")
+
+
 def _parse_deltas(text: str, k: int) -> list:
     try:
         vals = [int(x) for x in text.split(",")]
@@ -98,7 +119,11 @@ def cmd_generate(args) -> int:
         G, blocks = haggkvist_example(args.k, args.m)
     elif args.family == "cover":
         ex = cover_example(args.p, args.q)
-        G, blocks = ex.graph, ex.blocks
+        # cover_example keeps the paper's names A_i, B_i, C_i, whose
+        # letter is the part (1, 2, 3); dot reads the part from the
+        # name's last "_<part>", so the sidecar appends it
+        G = ex.graph
+        blocks = {f"{name}_{'ABC'.index(name[0]) + 1}": ids for name, ids in ex.blocks.items()}
     else:
         if args.seed is None:
             print("error: --seed is required for --family random", file=sys.stderr)
@@ -392,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int, default=1, help="scale of the layered family")
     g.add_argument("--p", type=int, default=7, help="cover family density numerator")
-    g.add_argument("--q", type=int, default=9, help="cover family density denominator")
+    g.add_argument("--q", type=_POSITIVE_INT, default=9,
+                   help="cover family density denominator")
     g.add_argument("--deltas", help="comma-separated minimum degrees (random family)")
     g.add_argument("--seed", type=int)
     g.add_argument("--out", default="-")
@@ -408,16 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--exact", action="store_true")
     t.add_argument("--swap3", action="store_true")
     t.add_argument("--constructive", action="store_true")
-    t.add_argument("--budget-ms", type=float)
-    t.add_argument("--cap", type=int, default=10_000)
-    t.add_argument("--epsilon", type=float)
+    t.add_argument("--budget-ms", type=_NONNEGATIVE_FLOAT)
+    t.add_argument("--cap", type=_NONNEGATIVE_INT, default=10_000)
+    t.add_argument("--epsilon", type=_FINITE_FLOAT)
     t.add_argument("--seed", type=int)
     t.add_argument("--out", default="-")
     t.set_defaults(func=cmd_tile)
 
     cv = sub.add_parser("cover", help="minimum transversal cycle cover")
     cv.add_argument("graph")
-    cv.add_argument("--budget-ms", type=float)
+    cv.add_argument("--budget-ms", type=_NONNEGATIVE_FLOAT)
     cv.add_argument("--out", default="-")
     cv.set_defaults(func=cmd_cover)
 
@@ -425,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("graph")
     ln.add_argument("--t", type=int, required=True)
     ln.add_argument("--eta", required=True, help="threshold coefficient (fraction ok)")
-    ln.add_argument("--max-work", type=int, default=20_000_000,
+    ln.add_argument("--max-work", type=_NONNEGATIVE_INT, default=20_000_000,
                     help="refuse (exit 3) a t > k-1 check whose candidate "
                          "sets number more than this; t = k-1 is never refused")
     ln.add_argument("--out", default="-")
@@ -445,13 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--deltas-min", required=True)
     e.add_argument("--deltas-max", required=True)
-    e.add_argument("--step", type=int, default=1)
-    e.add_argument("--trials", type=int, default=5)
+    e.add_argument("--step", type=_POSITIVE_INT, default=1)
+    e.add_argument("--trials", type=_POSITIVE_INT, default=5)
     e.add_argument("--seed", type=int)
     e.add_argument("--tiler", choices=["exact", "swap3", "constructive"],
                    default="exact")
-    e.add_argument("--budget-ms", type=float)
-    e.add_argument("--epsilon", type=float, default=0.25)
+    e.add_argument("--budget-ms", type=_NONNEGATIVE_FLOAT)
+    e.add_argument("--epsilon", type=_FINITE_FLOAT, default=0.25)
     e.add_argument("--max-cells", type=int, default=2000)
     e.add_argument("--out", default="-")
     e.set_defaults(func=cmd_experiment)

@@ -26,46 +26,35 @@ shaving is what lets the search pin coordinates against curved
 constraint boundaries without spending bisection depth on them.  What
 survives is bisected along its widest side.
 
-Each constraint compiles once into a table of two enclosure forms, read
-three ways.  The prover steers with one float screen (_FloatScreen)
-that evaluates every pruning constraint over a batch of boxes at once,
-each distinct affine form, term product, monomial and derivative slop
-once; it decides every leaf and every lattice prune exactly, in Python
-ints on the table scaled to integer coefficients (_int_table, _int_box).
-The feasible-point test, the closing volume check and the leaf sort are
-exact in ints too.  Certificate.verify re-checks the leaves with the
-plain Fraction evaluation of the same two forms (_range, _mean_value),
-which shares no evaluator with the prover, and checks that the leaves
-partition the box.
+Each constraint compiles once into a table of two enclosure forms.  The
+prover steers with a float screen (_FloatScreen) over batches of boxes
+and decides every leaf and lattice prune exactly, in Python ints on the
+table scaled to integer coefficients (_int_table, _int_box).
+Certificate.verify hands the certificate as plain data to certcheck,
+which shares no code with this module: it re-derives the pruning
+constraints, re-checks each leaf and checks the leaf partition.
 
 The grid scanner reports the minimum constraint violation over a full
-lattice, pruning grid-aligned blocks with the same interval enclosures,
+lattice, pruning grid-aligned blocks with the same enclosure forms,
 so it is exhaustive without visiting every lattice point.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from . import certcheck
 
 F = Fraction
 
 SMALL = Fraction(1, 10**12)  # violation assigned to exact strict-boundary hits
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
 
 class Expr:
@@ -243,52 +232,6 @@ def _compile(expr: Expr) -> _Table:
     return _Table(terms, [(c, m) for m, c in monos], derivs)
 
 
-def _affine_range(form: tuple, lo: dict, hi: dict) -> tuple:
-    const, lin = form
-    flo = fhi = const
-    for v, a in lin:
-        if a > 0:
-            flo, fhi = flo + a * lo[v], fhi + a * hi[v]
-        else:
-            flo, fhi = flo + a * hi[v], fhi + a * lo[v]
-    return flo, fhi
-
-
-def _range(terms: list, lo: dict, hi: dict) -> tuple:
-    """Reference enclosure (lo, hi) of a sum of products over Fractions:
-    each affine factor's exact range, multiplied out in interval
-    arithmetic."""
-    slo = shi = 0
-    for coef, factors in terms:
-        tlo = thi = coef
-        for form in factors:
-            flo, fhi = _affine_range(form, lo, hi)
-            p1, p2, p3, p4 = tlo * flo, tlo * fhi, thi * flo, thi * fhi
-            tlo, thi = min(p1, p2, p3, p4), max(p1, p2, p3, p4)
-        slo, shi = slo + tlo, shi + thi
-    return slo, shi
-
-
-def _mean_value(table: _Table, lo: dict, hi: dict) -> tuple:
-    """Reference mean value enclosure around the box center: the value
-    there plus each partial derivative's enclosure times that variable's
-    offset range.  This is the form that sees joint cancellations: where
-    several near-tight terms balance, the center value is small and the
-    slop is only the gradient times the half-widths."""
-    mid = {v: (lo[v] + hi[v]) / 2 for v, _ in table.derivs}
-    center = 0
-    for coef, names in table.monos:
-        t = coef
-        for v in names:
-            t = t * mid[v]
-        center = center + t
-    slop = 0
-    for v, form in table.derivs:
-        dlo, dhi = _affine_range(form, lo, hi)
-        slop = slop + max(abs(dlo), abs(dhi)) * ((hi[v] - lo[v]) / 2)
-    return center - slop, center + slop
-
-
 def _int_table(table: _Table) -> tuple:
     """(M, terms, monos, derivs): the table times M, the lcm of its
     denominators, with integer coefficients throughout.  Each factor is
@@ -296,9 +239,8 @@ def _int_table(table: _Table) -> tuple:
     into its term's coefficient; terms are (coef, degree, factors) and
     derivs (name, const, lin).  Evaluated at X = S*x for an integer S
     (see _int_box), a term of degree d is homogenized by S^(2-d), so
-    every quantity is M*S^2 times its Fraction counterpart: the min/max
-    choices of the reference are the same and so is every decision
-    against a cut."""
+    every quantity is M*S^2 times its rational value and every decision
+    against a cut is exact."""
     terms = []
     for coef, factors in table.terms:
         fs = []
@@ -330,8 +272,8 @@ def _int_box(box: dict) -> tuple:
 
 def _int_range(const: int, lin: tuple, S: int, lo: dict, hi: dict) -> tuple:
     """S times the range of const + sum(a * x) over an _int_box box.
-    Kept apart from the reference _affine_range on purpose, so that
-    Certificate.verify shares no evaluator with the prover."""
+    The checker in certcheck has its own evaluator on purpose, so that
+    Certificate.verify shares no code with the prover."""
     flo = fhi = const * S
     for v, a in lin:
         if a > 0:
@@ -371,8 +313,8 @@ class Constraint:
     compiled here: the factored form F (the written sum of products,
     tight where each variable occurs once) and the mean value form M
     (tight where occurrences of a variable cancel to first order).
-    ``enclosures`` and ``sup`` are the Fraction reference; ``proves``
-    decides the same forms in scaled Python ints."""
+    ``_below`` decides them against a cut in scaled Python ints;
+    certcheck.sup is the exact reference it is tested against."""
 
     name: str
     expr: Expr
@@ -384,28 +326,10 @@ class Constraint:
         self._table = _compile(self.expr)
         self._itable = _int_table(self._table)
 
-    def enclosures(self, env: Dict[str, Interval]) -> Tuple[Interval, Interval]:
-        """The factored and the mean value enclosure over the box."""
-        lo = {v: iv.lo for v, iv in env.items()}
-        hi = {v: iv.hi for v, iv in env.items()}
-        return (Interval(*_range(self._table.terms, lo, hi)),
-                Interval(*_mean_value(self._table, lo, hi)))
-
-    def sup(self, env: Dict[str, Interval]) -> Fraction:
-        """Upper bound on the expression over the box: min(F.hi, M.hi)."""
-        f, m = self.enclosures(env)
-        return min(f.hi, m.hi)
-
-    def proves(self, env: Dict[str, Interval], cut: Fraction,
-               strict: bool = True) -> bool:
-        """Whether F or M puts the expression below cut (at most cut
-        when strict is False) on the whole box; M is only evaluated
-        when F fails."""
-        return self._below(_int_box({v: (iv.lo, iv.hi) for v, iv in env.items()}),
-                           cut, strict)
-
     def _below(self, ibox: tuple, cut: Fraction, strict: bool) -> bool:
-        """``proves`` on a box already converted by _int_box."""
+        """Whether F or M puts the expression below cut (at most cut when
+        strict is False) on a box converted by _int_box; M is only
+        evaluated when F fails."""
         S, lo, hi, mid, half = ibox
         M, terms, monos, derivs = self._itable
         spow = (S * S, S, 1)
@@ -629,17 +553,10 @@ class FeasiblePoint:
 @dataclass
 class Certificate:
     """Partition of the box into leaves, each discarded by one named
-    pruning constraint whose factored or mean value enclosure lies
-    entirely below its cut: a system constraint (cut = margin when
-    strict, 0 otherwise) or a derived combination of one (see
-    _pruning_constraints).
-
-    ``verify`` uses the Fraction reference (the upper ends of _range and,
-    where F does not decide a leaf, _mean_value) only, never the
-    prover's int decisions or float screen.  It also checks that the
-    leaves partition the box: each lies inside it with positive width on
-    every axis, their interiors are pairwise disjoint, and their volumes
-    add up to the box's, so together they cover it."""
+    pruning constraint (see _pruning_constraints) whose factored or mean
+    value enclosure lies entirely below its cut.  ``to_dict`` and
+    ``to_json`` give it as plain data; ``verify`` checks that data with
+    certcheck.check, which shares no code with the prover."""
 
     sid: str
     margin: Fraction
@@ -649,60 +566,51 @@ class Certificate:
     millis: float
     box_volume: Fraction
 
-    def verify(self, system: Optional[System] = None) -> bool:
+    def to_dict(self, system: Optional[System] = None) -> dict:
+        """The certificate and its system as the plain data certcheck
+        reads (the README lists the fields).  An unknown constraint name
+        or a missing side becomes None, which check rejects."""
         system = system or lemma_system(self.sid)
-        cons = {c.name: (c, cut)
-                for c, cut in _pruning_constraints(system, self.margin)}
-        vol = F(0)
-        sides: dict = {v: [] for v in system.variables}  # each leaf's (lo, hi)
-        for items, cname in self.leaves:
-            box = dict(items)
-            if set(box) != set(system.variables):
-                return False
-            piece = F(1)
-            for v, (lo, hi) in box.items():
-                rlo, rhi = system.box[v]
-                if not (rlo <= lo < hi <= rhi):  # a flat leaf has no interior
-                    return False
-                sides[v].append(box[v])
-                piece *= hi - lo
-            vol += piece
-            if cname not in cons:
-                return False
-            c, cut = cons[cname]
-            los = {v: lo for v, (lo, _) in box.items()}
-            his = {v: hi for v, (_, hi) in box.items()}
-            # sup < cut, with M evaluated only where F does not decide
-            if not (_range(c._table.terms, los, his)[1] < cut
-                    or _mean_value(c._table, los, his)[1] < cut):
-                return False
-        root = F(1)
-        for v, (lo, hi) in system.box.items():
-            root *= hi - lo
-        return (vol == root == self.box_volume
-                and _disjoint_interiors(list(sides.values())))
+        variables = list(system.variables)
+        pruning = _pruning_constraints(system, self.margin)
+        sources = ([{"c": i} for i in range(len(system.constraints))]
+                   + [{"c": i, "s": j, "w": str(w)} for i, j, w in _combinations(system)])
+        index = {c.name: k for k, (c, _) in enumerate(pruning)}
+        L = math.lcm(*(e.denominator for pair in system.box.values() for e in pair), *(
+            e.denominator for items, _ in self.leaves for _, pair in items for e in pair))
+        leaves = []
+        for items, name in self.leaves:
+            sides = dict(items)
+            pairs = [sides.pop(v, None) for v in variables] + list(sides.values())
+            leaves.append((index.get(name), [
+                None if p is None else tuple(e.numerator * (L // e.denominator) for e in p)
+                for p in pairs]))
+        return {
+            "sid": self.sid,
+            "variables": variables,
+            "box": [[str(e) for e in system.box[v]] for v in variables],
+            "margin": str(self.margin),
+            "constraints": [{"name": c.name, "kind": c.kind,
+                             "monomials": [[list(m), str(k)] for k, m in c._table.monos]}
+                            for c in system.constraints],
+            "pruning": [dict(src, cut=str(cut), terms=_plain_terms(c._table.terms))
+                        for (c, cut), src in zip(pruning, sources)],
+            "L": L,
+            "leaves": leaves,
+        }
+
+    def to_json(self) -> str:
+        """``to_dict`` as canonical JSON: sorted keys, no spaces."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def verify(self, system: Optional[System] = None) -> bool:
+        return certcheck.check(self.to_dict(system))
 
 
-def _disjoint_interiors(sides: list) -> bool:
-    """Whether boxes have pairwise disjoint interiors, given for each
-    axis the list of the boxes' (lo, hi) Fraction pairs, lo < hi.  Each
-    endpoint is replaced by its rank among its axis's distinct
-    endpoints, which keeps every comparison, and the pairs of boxes are
-    compared on the int ranks with numpy, a block of rows at a time."""
-    n = len(sides[0]) if sides else 0
-    lo, hi = np.empty((2, len(sides), n), dtype=np.int64)
-    for d, pairs in enumerate(sides):
-        rank = {e: r for r, e in enumerate(sorted({e for pair in pairs for e in pair}))}
-        lo[d] = [rank[a] for a, _ in pairs]
-        hi[d] = [rank[b] for _, b in pairs]
-    rows = max(1, 2**15 // max(n, 1))  # keeps each block's bools at 32 KiB
-    for s in range(0, n, rows):
-        meet = np.ones((min(rows, n - s), n), dtype=bool)
-        for a, b in zip(lo, hi):
-            meet &= (a[s:s + rows, None] < b) & (a < b[s:s + rows, None])
-        if meet.sum() != len(meet):  # each box meets only its own interior
-            return False
-    return True
+def _plain_terms(terms: list) -> list:
+    """A table's factored terms with every rational as a string."""
+    return [[str(coef), [[str(k), [[v, str(a)] for v, a in lin]] for k, lin in factors]]
+            for coef, factors in terms]
 
 
 class DepthExhaustedError(Exception):
@@ -735,29 +643,34 @@ def _pruning_constraints(system: System, margin: Fraction) -> list:
     the weighted sum cancels the offending linear terms and its
     enclosure goes negative on boxes far wider than the margin, which
     single constraints cannot do there."""
-    out = [(c, margin if c.kind == "gt" else F(0)) for c in system.constraints]
-    for s in system.constraints:
-        if s.kind != "gt":
-            continue
-        for c in system.constraints:
-            if c is s or all(len(m) < 2 for _, m in c._table.monos):
-                continue
-            base_cut = margin if c.kind == "gt" else F(0)
-            for w in _COMBO_WEIGHTS:
-                name = f"{c.name}+{w}*{s.name}"
-                out.append((Constraint(name, c.expr + w * s.expr, "ge"),
-                            base_cut + w * margin))
+    cons = system.constraints
+    out = [(c, margin if c.kind == "gt" else F(0)) for c in cons]
+    for i, j, w in _combinations(system):
+        c, s = cons[i], cons[j]
+        out.append((Constraint(f"{c.name}+{w}*{s.name}", c.expr + w * s.expr, "ge"),
+                    out[i][1] + w * margin))
     return out
+
+
+def _combinations(system: System) -> list:
+    """(c, s, w) for each derived pruning constraint c + w*s, c and s as
+    indices into the system's constraints, in _pruning_constraints'
+    order."""
+    cons = system.constraints
+    return [(i, j, w) for j, s in enumerate(cons) if s.kind == "gt"
+            for i, c in enumerate(cons)
+            if c is not s and any(len(m) >= 2 for _, m in c._table.monos)
+            for w in _COMBO_WEIGHTS]
 
 
 def certify_infeasible(system, max_depth: int = 40,
                        margin: Fraction = Fraction(1, 10**6)):
     """Certificate that the system has no solution, or a FeasiblePoint.
 
-    Interval branch and bound over the system's box.  Strict constraints
+    Branch and bound over the system's box.  Strict constraints
     are tightened by ``margin`` (see the module docstring); each leaf is
     a sub-box on which one named constraint's exact enclosure stays
-    below its cut, so the certificate proves the tightened closed system
+    below its cut, so the certificate shows the tightened closed system
     empty.  Exact midpoints of surviving boxes are tested against the
     original strict system, so a returned FeasiblePoint genuinely solves
     it.

@@ -4,6 +4,7 @@ from subcommands to the library."""
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -396,3 +397,59 @@ def test_parser_covers_all_subcommands():
                 if isinstance(a, type(parser._subparsers._group_actions[0])))
     assert set(subs.choices) == {"generate", "check", "tile", "cover",
                                  "linking", "verify", "experiment", "dot"}
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+EXPERIMENT = ["experiment", "--k", "3", "--n", "4", "--deltas-min", "2,2,2",
+              "--deltas-max", "2,2,2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["generate", "--family", "cover", "--p", "0", "--q", "0"], 2),
+    (["tile", "X", "--constructive", "--seed", "1", "--epsilon", "nan"], 2),
+    (["tile", "X", "--constructive", "--seed", "1", "--epsilon", "inf"], 2),
+    ([*EXPERIMENT, "--step", "0"], 2),
+    ([*EXPERIMENT, "--trials", "0"], 2),
+    (["tile", "X", "--exact", "--budget-ms", "-5"], 2),
+    (["cover", "X", "--budget-ms", "-1"], 2),
+    (["tile", "X", "--swap3", "--cap", "-1"], 2),
+    (["linking", "X", "--t", "2", "--eta", "1/10", "--max-work", "-1"], 2),
+    # the smallest accepted values still run
+    (["tile", "X", "--swap3", "--cap", "0"], 0),
+    (["linking", "X", "--t", "2", "--eta", "1/10", "--max-work", "0"], 0),
+    ([*EXPERIMENT, "--step", "1", "--trials", "1"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_bad_numbers_exit_2(argv, code, tmp_path, capsys):
+    graph = tmp_path / "x.json"
+    graph.write_text(graph_to_json(complete_blowup(3, 4)))
+    argv = [str(graph) if a == "X" else a for a in argv]
+    assert exit_code(argv + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert ("error:" in err) == (code == 2)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family,argv,part_of", [
+    # U_i, W_i and Z_i lie in part i; A_i, B_i and C_i in parts 1, 2, 3
+    ("haggkvist", ["--k", "3", "--m", "2"], lambda name: int(name.rsplit("_", 1)[1])),
+    ("cover", ["--p", "7", "--q", "9"], lambda name: "ABC".index(name[0]) + 1),
+])
+def test_blocks_sidecar_labels_the_right_parts(family, argv, part_of, tmp_path, capsys):
+    g, b = tmp_path / "g.json", tmp_path / "b.json"
+    assert main(["generate", "--family", family, *argv, "--out", str(g),
+                 "--blocks-out", str(b)]) == 0
+    capsys.readouterr()
+    assert main(["dot", str(g), "--blocks", str(b)]) == 0
+    text = capsys.readouterr().out
+    blocks = json.loads(b.read_text())["blocks"]
+    labelled = re.findall(r'p(\d+)_(\d+) \[label="([^"]+):(\d+)"\]', text)
+    assert len(labelled) == sum(len(ids) for ids in blocks.values())
+    for part, idx, name, again in labelled:
+        assert idx == again and int(idx) in blocks[name]
+        assert int(part) == part_of(name)

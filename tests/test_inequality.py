@@ -1,7 +1,7 @@
-"""Exact inequality certification: interval arithmetic, the enclosure
-forms, pruning-constraint derivation, certificates and their
-re-verification, feasible-point detection, depth accounting, and the
-lattice scanner against a brute-force oracle."""
+"""Exact inequality certification: the enclosure forms against the
+certificate checker's exact bound, pruning-constraint derivation,
+certificates and their re-verification, feasible-point detection, depth
+accounting, and the lattice scanner against a brute-force oracle."""
 
 import math
 import random
@@ -9,19 +9,20 @@ from fractions import Fraction
 
 import pytest
 
+from ckblowup import certcheck, inequality
 from ckblowup.inequality import (
     ALL_SYSTEMS,
     Certificate,
     Constraint,
     DepthExhaustedError,
     FeasiblePoint,
-    Interval,
-    Num,
     SMALL,
     System,
     Var,
     _FloatScreen,
+    _int_box,
     _int_holds,
+    _plain_terms,
     _pruning_constraints,
     certify_infeasible,
     grid_scan,
@@ -29,14 +30,6 @@ from ckblowup.inequality import (
 )
 
 F = Fraction
-
-
-# -- interval arithmetic ------------------------------------------------
-
-
-def test_interval_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        Interval(F(1), F(0))
 
 
 # -- expressions and constraints ----------------------------------------
@@ -71,56 +64,57 @@ def test_constraints_above_degree_two_are_rejected():
 
 
 def random_box(rng, variables):
-    env = {}
+    box = {}
     for v in variables:
         a, b = sorted(F(rng.randrange(0, 64), 64) for _ in range(2))
-        env[v] = Interval(a, b if b > a else a + F(1, 64))
-    return env
+        box[v] = (a, b if b > a else a + F(1, 64))
+    return box
 
 
-def sample_point(rng, env):
-    out = {}
-    for v, iv in env.items():
-        t = F(rng.randrange(0, 17), 16)
-        out[v] = iv.lo + (iv.hi - iv.lo) * t
-    return out
+def sample_point(rng, box):
+    return {v: lo + (hi - lo) * F(rng.randrange(0, 17), 16) for v, (lo, hi) in box.items()}
+
+
+def reference_sup(c, box, sign=1):
+    """certcheck's exact min(F.hi, M.hi) of sign * c over the box."""
+    terms = [(sign * coef, fs) for coef, fs in c._table.terms]
+    return certcheck.sup(_plain_terms(terms), list(box), list(box.values()))
 
 
 @pytest.mark.parametrize("sid", ALL_SYSTEMS)
 def test_every_enclosure_form_contains_sampled_values(sid):
+    # the bound of c and of -c: both ends of both forms, as each sup is
+    # the smaller of two upper ends
     system = lemma_system(sid)
     rng = random.Random(hash(sid) & 0xFFFF)
     for _ in range(25):
-        env = random_box(rng, system.variables)
+        box = random_box(rng, system.variables)
         for c in system.constraints:
-            forms = c.enclosures(env)
+            hi, neg_lo = reference_sup(c, box), reference_sup(c, box, -1)
             for _ in range(4):
-                p = sample_point(rng, env)
-                val = c.value(p)
-                for iv in forms:
-                    assert iv.lo <= val <= iv.hi
+                val = c.value(sample_point(rng, box))
+                assert -neg_lo <= val <= hi
 
 
 def test_proves_is_consistent_with_interval():
     system = lemma_system("B2")
     rng = random.Random(5)
     for _ in range(40):
-        env = random_box(rng, system.variables)
+        box = random_box(rng, system.variables)
+        ibox = _int_box(box)
         for c in system.constraints:
-            f, m = c.enclosures(env)
-            sup = c.sup(env)
-            assert sup == min(f.hi, m.hi)
-            assert c.proves(env, sup + F(1, 1000))
+            sup = reference_sup(c, box)
+            assert c._below(ibox, sup + F(1, 1000), True)
             # proving is exactly "F or M below the cut"
-            assert not c.proves(env, sup)
-            assert c.proves(env, sup, strict=False)
+            assert not c._below(ibox, sup, True)
+            assert c._below(ibox, sup, False)
 
 
 def test_proves_non_strict_boundary():
     c = Constraint("x", Var("x"), "gt")
-    env = {"x": Interval(F(-1), F(0))}
-    assert not c.proves(env, F(0))
-    assert c.proves(env, F(0), strict=False)
+    ibox = _int_box({"x": (F(-1), F(0))})
+    assert not c._below(ibox, F(0), True)
+    assert c._below(ibox, F(0), False)
 
 
 SIX_SYSTEMS = ALL_SYSTEMS + ("B1w",)
@@ -147,7 +141,7 @@ def certifier_box(rng, system):
         a, b = sorted(ends)
         if rng.randrange(8) == 0:
             b = a
-        box[v] = Interval(a, b)
+        box[v] = (a, b)
     return box
 
 
@@ -160,17 +154,18 @@ def test_int_decisions_and_float_screen_track_the_reference(sid):
     screen = _FloatScreen(cons, system.variables)
     rng = random.Random(sid)
     boxes = [certifier_box(rng, system) for _ in range(60)]
-    los = np.array([[float(b[v].lo) for v in system.variables] for b in boxes])
-    his = np.array([[float(b[v].hi) for v in system.variables] for b in boxes])
+    los = np.array([[float(b[v][0]) for v in system.variables] for b in boxes])
+    his = np.array([[float(b[v][1]) for v in system.variables] for b in boxes])
     fsups = screen(los, his)
     eps = F(1, 10**15)
-    for row, env in enumerate(boxes):
+    for row, box in enumerate(boxes):
+        ibox = _int_box(box)
         for j, c in enumerate(cons):
-            sup = c.sup(env)
-            # the scaled-int decision is exactly the Fraction one
+            sup = reference_sup(c, box)
+            # the prover's scaled-int decision is exactly the checker's
             for cut in (sup - eps, sup, sup + eps):
-                assert c.proves(env, cut) == (sup < cut)
-                assert c.proves(env, cut, strict=False) == (sup <= cut)
+                assert c._below(ibox, cut, True) == (sup < cut)
+                assert c._below(ibox, cut, False) == (sup <= cut)
             # the float screen evaluates the same forms up to roundoff,
             # each distinct form, pair, monomial and slop counted once
             assert abs(fsups[row, j] - float(sup)) <= 1e-9 * max(1, abs(float(sup)))
@@ -229,6 +224,8 @@ def test_verify_uses_only_the_reference(monkeypatch):
 
     monkeypatch.setattr(Constraint, "_below", broken)
     monkeypatch.setattr(_FloatScreen, "__call__", broken)
+    monkeypatch.setattr(inequality, "_int_range", broken)
+    monkeypatch.setattr(inequality, "_int_value", broken)
     for cert in certs:
         assert cert.verify()
         items, name = cert.leaves[0]
