@@ -17,6 +17,7 @@ from ckblowup.core import (
     part_before,
     validate_tiling,
 )
+from ckblowup import constructive
 from ckblowup.constructive import (
     AbsorberSet,
     PoolConditionError,
@@ -240,3 +241,38 @@ def test_asymp_factor_seeded_witness_is_pinned(k, digest):
     res = asymp_factor(G, 0.25, np.random.default_rng(k))
     text = json.dumps([list(c) for c in res.cycles], separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k,digest,stages", [
+    (3, "162d6925d467e9183869c2d83df1cf307579d1fddb3122f2ebf302b475adf8e8",
+     [{"stage": "absorber", "gadgets": 40},
+      {"stage": "reservoir", "chunks": 25, "chunk_size": 15},
+      {"stage": "rounds", "rounds": 24, "cycles": 360},
+      {"stage": "absorption", "transversals": 20}]),
+    (4, "61ba1063848f611e0619a676a4c10a38196d2e1f07437fefa935aaa48e43cbb6",
+     [{"stage": "absorber", "gadgets": 40},
+      {"stage": "reservoir", "chunks": 17, "chunk_size": 20},
+      {"stage": "rounds", "rounds": 16, "cycles": 320},
+      {"stage": "absorption", "transversals": 20}]),
+])
+def test_asymp_factor_n500_witness_stages_and_resplits_are_pinned(
+        monkeypatch, k, digest, stages):
+    # the benchmark's factor recipe at n = 500: the witness, the stage
+    # log without timings, and the rounds' total resplits
+    resplits = []
+
+    def counted(*args, **kwargs):
+        res = round_tiling(*args, **kwargs)
+        resplits.append(res.resplits)
+        return res
+
+    monkeypatch.setattr(constructive, "round_tiling", counted)
+    n = 500
+    delta = -(-(3 * k + 2) * n // (4 * k))  # ceil((1 + 1/k + 1/2) n / 2)
+    G = random_min_degree(k, n, [delta] * k, seed=k)
+    res = asymp_factor(G, 0.25, np.random.default_rng(k))
+    text = json.dumps([list(c) for c in res.cycles], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert [{key: v for key, v in s.items() if key != "millis"}
+            for s in res.stages] == stages
+    assert len(resplits) == stages[2]["rounds"] and sum(resplits) == 0
