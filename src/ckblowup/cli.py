@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -109,10 +110,25 @@ def _parse_deltas(text: str, k: int) -> list:
     return vals
 
 
+def _matrix_bytes_cap() -> int:
+    """Largest k*n^2, the bytes of a graph's k bool pair matrices, that
+    generate builds: a quarter of physical memory, as generating holds
+    about two copies of the matrices."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
+
+
 def cmd_generate(args) -> int:
     blocks = None
-    if args.family in ("complete", "random") and (args.n is None or args.n < 1):
-        raise SystemExit(f"error: --family {args.family} needs --n of at least 1, got {args.n}")
+    if args.family in ("complete", "random"):
+        if args.n is None or args.n < 1:
+            raise SystemExit(f"error: --family {args.family} needs --n of at least 1, "
+                             f"got {args.n}")
+        need, cap = args.k * args.n * args.n, _matrix_bytes_cap()
+        if need > cap:
+            print(f"error: a k = {args.k}, n = {args.n} graph needs {need} bytes of "
+                  f"pair matrices, over the cap of {cap} (a quarter of physical memory)",
+                  file=sys.stderr)
+            return 3
     if args.family == "complete":
         G = complete_blowup(args.k, args.n)
     elif args.family == "haggkvist":

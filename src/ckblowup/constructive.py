@@ -38,6 +38,7 @@ from .core import (
     BlowupGraph,
     PreconditionError,
     VertexRef,
+    bit_rows,
     degree_profile,
     part_after,
     part_before,
@@ -93,7 +94,7 @@ def _degrees_into(G: BlowupGraph, vpart: int, tpart: int, tmask: np.ndarray) -> 
     raise PreconditionError(f"parts {vpart} and {tpart} are not adjacent")
 
 
-def _check_pool_degrees(G, pools: dict, need: Fraction, label: str) -> list:
+def _check_pool_degrees(G, pools: dict, need: Fraction) -> list:
     """All violations of d(v, pool_i) >= need for v in the parts
     adjacent to i, as (part, neighbor part, vertex, degree)."""
     lo = -(-need.numerator // need.denominator)  # ceil(need)
@@ -110,33 +111,60 @@ def _check_pool_degrees(G, pools: dict, need: Fraction, label: str) -> list:
 
 
 def _balanced_split(G: BlowupGraph, part: int, pool: Sequence[int], nchunks: int,
-                    chunk_size: int, rng: np.random.Generator) -> list:
-    """Split ``pool`` into chunks of ``chunk_size``, spreading every
-    adjacent vertex's non-neighbors evenly across chunks.  Vertices are
-    taken in a random order; ties go to the lowest chunk."""
+                    chunk_size: int, rng: np.random.Generator) -> tuple:
+    """Split ``pool`` into ``nchunks`` chunks of ``chunk_size``, spreading
+    every adjacent vertex's non-neighbors evenly across chunks.
+
+    Vertices are taken in a random order.  Each goes to the chunk that
+    minimizes the largest number of non-neighbors there of any external
+    vertex it is not adjacent to; ties go to the lowest chunk that is
+    not full.  Returns ``(chunks, worst)``: the sorted chunks, and for
+    each chunk the largest number of non-neighbors in it of any vertex
+    of the two adjacent parts, so that every such vertex has at least
+    ``chunk_size - worst[c]`` neighbors in chunk c.
+
+    External non-neighborhoods are int bitsets over the 2n vertices of
+    the adjacent parts.  Chunk c keeps nested levels: ``levels[c][t]``
+    holds the external vertices with more than t non-neighbors in it, so
+    a vertex's count in c is the number of levels its set meets.
+    """
     pool = list(pool)
-    rows = []
-    for q in (part_before(G.k, part), part_after(G.k, part)):
-        if part == part_after(G.k, q):
-            rows.append(G.pair_matrix(q)[:, pool])
-        else:
-            rows.append(G.pair_matrix(part)[pool, :].T)
-    non_adj = ~np.vstack(rows)  # (#external, |pool|)
-    counts = np.zeros((non_adj.shape[0], nchunks), dtype=int)
-    caps = np.full(nchunks, chunk_size, dtype=int)
+    if len(pool) != nchunks * chunk_size:
+        raise PreconditionError(f"pool of {len(pool)} does not split into "
+                                f"{nchunks} chunks of {chunk_size}")
+    n = G.n
+    full = (1 << n) - 1
+    into = bit_rows(G.pair_matrix(part_before(G.k, part))[:, pool].T)
+    out = bit_rows(G.pair_matrix(part)[pool, :])
+    non = [(full ^ a) | ((full ^ b) << n) for a, b in zip(into, out)]
+    levels = [[] for _ in range(nchunks)]
+    caps = [chunk_size] * nchunks
     chunks = [[] for _ in range(nchunks)]
-    for pos in rng.permutation(len(pool)):
-        col = non_adj[:, pos]
-        if col.any():
-            scores = counts[col].max(axis=0).astype(float)
-        else:
-            scores = np.zeros(nchunks)
-        scores[caps == 0] = np.inf
-        c = int(np.argmin(scores))
+    for pos in rng.permutation(len(pool)).tolist():
+        s = non[pos]
+        best, c = chunk_size + 1, -1  # a count never exceeds chunk_size
+        for j, lv in enumerate(levels):
+            if not caps[j]:
+                continue
+            score = 0
+            for level in lv:
+                if score == best or not level & s:
+                    break
+                score += 1
+            if score < best:
+                best, c = score, j
+                if not score:
+                    break
         chunks[c].append(pool[pos])
         caps[c] -= 1
-        counts[col, c] += 1
-    return [sorted(ch) for ch in chunks]
+        lv = levels[c]
+        for t, level in enumerate(lv):
+            if not s:
+                break
+            lv[t], s = level | s, level & s
+        if s:
+            lv.append(s)
+    return [sorted(ch) for ch in chunks], [len(lv) for lv in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +216,11 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
             raise PreconditionError(f"U_{i} and W_{i} overlap")
     need_U = (1 + sig) * mk / 2
     need_W = (1 + Fraction(1, k) + sig) * mk / 2
-    bad = _check_pool_degrees(G, U, need_U, "U")
+    bad = _check_pool_degrees(G, U, need_U)
     if bad:
         raise PoolConditionError(
             f"degree into U pools below (1+sigma)mk/2 = {need_U}", bad)
-    bad = _check_pool_degrees(G, W, need_W, "W")
+    bad = _check_pool_degrees(G, W, need_W)
     if bad:
         raise PoolConditionError(
             f"degree into W pools below (1+1/k+sigma)mk/2 = {need_W}", bad)
@@ -203,13 +231,8 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
     chunks: Dict[int, list] = {}
     for i in range(1, k + 1):
         for attempt in range(max_resplits + 1):
-            cand = _balanced_split(G, i, U[i], k, m, rng)
-            ok = True
-            for ch in cand:
-                if _check_pool_degrees(G, {i: ch}, need_chunk, "chunk"):
-                    ok = False
-                    break
-            if ok:
+            cand, worst = _balanced_split(G, i, U[i], k, m, rng)
+            if m - max(worst) >= need_chunk:
                 chunks[i] = cand
                 break
             resplits += 1
@@ -268,7 +291,7 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
         U_prime[i] = sorted(chunks[i][i - 1] + rest)
         if len(U_prime[i]) != mk:
             raise StageFailure("replacement", f"U'_{i} has size {len(U_prime[i])}")
-    bad = _check_pool_degrees(G, U_prime, need_U, "U'")
+    bad = _check_pool_degrees(G, U_prime, need_U)
     if bad:
         raise StageFailure(
             "replacement", "replacement pool misses (1+sigma)mk/2", bad)
@@ -364,7 +387,7 @@ def _random_path(G, rng, avail, start_part, start_idx, length, close_to=None):
         cand = np.flatnonzero(mask)
         if cand.size == 0:
             return None
-        v = int(rng.choice(cand))
+        v = int(cand[rng.integers(cand.size)])
         p = q
         out.append(v)
     return out
@@ -382,7 +405,7 @@ def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
         starts = np.flatnonzero(avail[0])
         if starts.size == 0:
             return None
-        c1 = int(rng.choice(starts))
+        c1 = int(starts[rng.integers(starts.size)])
         rest = _random_path(G, rng, avail, 1, c1, k - 1, close_to=c1)
         if rest is None:
             continue
@@ -667,9 +690,8 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
                 outside[i] = sorted(set(free) - set(pick))
                 reservoir[i] = pick
                 for sub_attempt in range(max_retries + 1):
-                    cand = _balanced_split(G, i, pick, T + 1, mk, rng)
-                    if all(not _check_pool_degrees(G, {i: ch}, need_W, "W")
-                           for ch in cand):
+                    cand, worst = _balanced_split(G, i, pick, T + 1, mk, rng)
+                    if mk - max(worst) >= need_W:
                         chunks[i] = cand
                         break
                 else:

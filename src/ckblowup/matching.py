@@ -9,6 +9,7 @@ deterministic (no set iteration anywhere).
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +23,10 @@ def max_matching_matrix(adj: np.ndarray, left: Sequence[int], right: Sequence[in
     """
     left = sorted(left)
     right = sorted(right)
-    rmask = np.zeros(adj.shape[1], dtype=bool)
-    rmask[right] = True
-    nbr = {u: np.flatnonzero(adj[u, :] & rmask).tolist() for u in left}
+    # one gather of the left x right block; each row's neighbours come
+    # out in increasing index order, as the scans below expect
+    block = adj[np.ix_(left, right)].tolist()
+    nbr = {u: list(compress(right, row)) for u, row in zip(left, block)}
     match_l = {u: None for u in left}
     match_r = {w: None for w in right}
 

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from ckblowup import cli
 from ckblowup.cli import build_parser, main
 from ckblowup.core import (
     VertexRef,
@@ -52,6 +53,32 @@ def test_generate_layered_with_blocks(tmp_path):
     assert G.n == 12
     blocks = json.loads(bout.read_text())["blocks"]
     assert {"U_1", "W_1", "Z_3"} <= set(blocks)
+
+
+@pytest.mark.parametrize("family", [["complete"], ["random", "--seed", "1", "--deltas", "1,1,1"]])
+def test_generate_refuses_oversized_graph_before_allocating(family, tmp_path, capsys,
+                                                           monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(cli, "complete_blowup", no_generation)
+    monkeypatch.setattr(cli, "random_min_degree", no_generation)
+    out = tmp_path / "g.json"
+    assert main(["generate", "--family", *family, "--k", "3", "--n", "100000",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "30000000000 bytes" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_generate_size_cap_is_on_k_n_squared_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: 48)
+    out = str(tmp_path / "g.json")
+    assert main(["generate", "--family", "complete", "--k", "3", "--n", "4",
+                 "--out", out]) == 0
+    assert main(["generate", "--family", "complete", "--k", "3", "--n", "5",
+                 "--out", out]) == 3
+    assert "75 bytes" in capsys.readouterr().err
 
 
 def test_generate_random_requires_seed(capsys):

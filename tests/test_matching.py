@@ -102,3 +102,41 @@ def test_matching_long_augmenting_path_does_not_recurse():
     adj[idx[:-1], n - 2 - idx[:-1]] = True
     m = max_matching_matrix(adj, range(n), range(n))
     assert m == {i: n - 1 - i for i in range(n)}
+
+
+def check_maximum(adj, left, right):
+    got = max_matching_matrix(adj, left, right)
+    assert set(got) <= set(left) and set(got.values()) <= set(right)
+    assert len(set(got.values())) == len(got)
+    assert all(adj[u, w] for u, w in got.items())
+    assert len(got) == brute_max_matching(adj, left, right)
+    return got
+
+
+def test_matching_with_an_empty_side():
+    adj = np.ones((5, 6), dtype=bool)
+    assert check_maximum(adj, [], [0, 3, 5]) == {}
+    assert check_maximum(adj, [1, 4], []) == {}
+    assert check_maximum(adj, [], []) == {}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matching_on_unsorted_index_lists_and_ranges(seed):
+    rng = np.random.default_rng(3000 + seed)
+    adj = rng.random((9, 11)) < float(rng.uniform(0.15, 0.6))
+    left = rng.permutation(9)[:int(rng.integers(1, 7))].tolist()  # unsorted, with gaps
+    right = rng.permutation(11)[:int(rng.integers(1, 7))].tolist()
+    got = check_maximum(adj, left, right)
+    assert max_matching_matrix(adj, sorted(left), sorted(right)) == got
+    assert max_matching_matrix(adj, np.array(left), tuple(right)) == got
+    lo, hi = sorted(rng.choice(9, size=2, replace=False).tolist())
+    check_maximum(adj, range(lo, hi + 1), range(2, 11, 2))
+
+
+def test_matching_seeded_result_is_pinned():
+    rng = np.random.default_rng(8)
+    adj = rng.random((8, 8)) < 0.35
+    assert max_matching_matrix(adj, range(8), range(8)) == {
+        0: 0, 1: 2, 2: 5, 3: 1, 4: 7, 5: 3, 6: 6, 7: 4}
+    assert max_matching_matrix(adj, [6, 1, 4, 3, 0, 7], [7, 2, 5, 0, 3]) == {
+        0: 0, 1: 3, 3: 7, 4: 2, 7: 5}
