@@ -29,7 +29,7 @@ import numpy as np
 from .core import (
     PreconditionError,
     degree_profile,
-    graph_from_json,
+    graph_from_json_dict,
     graph_to_dot,
     graph_to_json,
 )
@@ -37,6 +37,7 @@ from .exact import InfeasibleSizeError, cover_number, is_linked, max_tiling
 from .generators import (
     complete_blowup,
     cover_example,
+    cover_size,
     haggkvist_example,
     random_min_degree,
 )
@@ -66,15 +67,18 @@ def _write_out(text: str, out: str | None) -> None:
 def _load_graph(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = fh.read()
+            obj = json.load(fh)
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc}")
-    try:
-        return graph_from_json(payload)
     except json.JSONDecodeError as exc:
         print(f"error: {path} is not valid JSON at line {exc.lineno} "
               f"column {exc.colno}", file=sys.stderr)
         raise SystemExit(2)
+    k, n = (obj.get(key) if isinstance(obj, dict) else None for key in ("k", "n"))
+    if type(k) is type(n) is int and _oversized(k, n):
+        raise SystemExit(3)
+    try:
+        return graph_from_json_dict(obj)
     except (PreconditionError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -111,10 +115,22 @@ def _parse_deltas(text: str, k: int) -> list:
 
 
 def _matrix_bytes_cap() -> int:
-    """Largest k*n^2, the bytes of a graph's k bool pair matrices, that
-    generate builds: a quarter of physical memory, as generating holds
-    about two copies of the matrices."""
+    """Largest k*n^2 that generate builds and the CLI loads: a quarter of
+    physical memory.  A graph keeps its pairs as packed bits, about
+    k*n^2/4 bytes with their transposes, but the generators and the
+    ``ckblowup/1`` loader first fill k*n^2 bytes of bool matrices."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
+
+
+def _oversized(k: int, n: int) -> bool:
+    """Whether a k, n graph's k*n^2 matrix bytes exceed the cap; if so,
+    says so on stderr.  Nothing of the graph is allocated."""
+    need, cap = k * n * n, _matrix_bytes_cap()
+    if n < 1 or need <= cap:
+        return False
+    print(f"error: a k = {k}, n = {n} graph needs {need} bytes of pair matrices, "
+          f"over the cap of {cap} (a quarter of physical memory)", file=sys.stderr)
+    return True
 
 
 def cmd_generate(args) -> int:
@@ -123,12 +139,13 @@ def cmd_generate(args) -> int:
         if args.n is None or args.n < 1:
             raise SystemExit(f"error: --family {args.family} needs --n of at least 1, "
                              f"got {args.n}")
-        need, cap = args.k * args.n * args.n, _matrix_bytes_cap()
-        if need > cap:
-            print(f"error: a k = {args.k}, n = {args.n} graph needs {need} bytes of "
-                  f"pair matrices, over the cap of {cap} (a quarter of physical memory)",
-                  file=sys.stderr)
-            return 3
+        k, n = args.k, args.n
+    elif args.family == "haggkvist":
+        k, n = args.k, 2 * args.k * args.m
+    else:
+        k, n = 3, cover_size(args.p, args.q)
+    if _oversized(k, n):
+        return 3
     if args.family == "complete":
         G = complete_blowup(args.k, args.n)
     elif args.family == "haggkvist":

@@ -16,12 +16,10 @@ Conventions shared by this module:
 * Rejection-sampled stages retry up to a bound and then raise
   StageFailure naming the stage; the driver never returns a tiling that
   fails validation.
-* Pool splits draw a random vertex order but then place vertices so
-  that, for every vertex of the two adjacent parts, its non-neighbors
-  spread evenly across chunks; the split is still verified against the
-  stated degree conditions and resampled on failure.  A uniform split
-  obeys the same conditions only for pools far larger than the desk
-  scales used here.
+* Pool splits draw a random vertex order but then spread the
+  non-neighbors of every adjacent vertex evenly across chunks
+  (``_balanced_split``); a split missing the degree conditions is
+  resampled.  A uniform split meets them only for far larger pools.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .core import (
     BlowupGraph,
     PreconditionError,
     VertexRef,
-    bit_rows,
     degree_profile,
     part_after,
     part_before,
@@ -84,14 +81,10 @@ def _pool_mask(G: BlowupGraph, part: int, ids: Sequence[int]) -> np.ndarray:
     return mask
 
 
-def _degrees_into(G: BlowupGraph, vpart: int, tpart: int, tmask: np.ndarray) -> np.ndarray:
-    """Degrees of every vertex of V_vpart into the masked subset of the
+def _degrees_into(G: BlowupGraph, vpart: int, tpart: int, ids: Sequence[int]) -> np.ndarray:
+    """Degrees of every vertex of V_vpart into the vertices ``ids`` of the
     adjacent part V_tpart."""
-    if tpart == part_after(G.k, vpart):
-        return G.pair_matrix(vpart)[:, tmask].sum(axis=1)
-    if vpart == part_after(G.k, tpart):
-        return G.pair_matrix(tpart)[tmask, :].sum(axis=0)
-    raise PreconditionError(f"parts {vpart} and {tpart} are not adjacent")
+    return G.adjacency_rows(tpart, vpart, ids).sum(axis=0)
 
 
 def _check_pool_degrees(G, pools: dict, need: Fraction) -> list:
@@ -100,9 +93,9 @@ def _check_pool_degrees(G, pools: dict, need: Fraction) -> list:
     lo = -(-need.numerator // need.denominator)  # ceil(need)
     bad = []
     for i, ids in pools.items():
-        mask = _pool_mask(G, i, ids)
+        _pool_mask(G, i, ids)  # range and duplicate checks
         for q in (part_before(G.k, i), part_after(G.k, i)):
-            degs = _degrees_into(G, q, i, mask)
+            degs = _degrees_into(G, q, i, ids)
             for v in np.flatnonzero(degs < lo):
                 bad.append((i, q, int(v), int(degs[v])))
                 if len(bad) >= 20:
@@ -134,9 +127,8 @@ def _balanced_split(G: BlowupGraph, part: int, pool: Sequence[int], nchunks: int
                                 f"{nchunks} chunks of {chunk_size}")
     n = G.n
     full = (1 << n) - 1
-    into = bit_rows(G.pair_matrix(part_before(G.k, part))[:, pool].T)
-    out = bit_rows(G.pair_matrix(part)[pool, :])
-    non = [(full ^ a) | ((full ^ b) << n) for a, b in zip(into, out)]
+    into, out = G.pair_bits(part_before(G.k, part))[1], G.pair_bits(part)[0]
+    non = [(full ^ into[u]) | ((full ^ out[u]) << n) for u in pool]
     levels = [[] for _ in range(nchunks)]
     caps = [chunk_size] * nchunks
     chunks = [[] for _ in range(nchunks)]
@@ -200,8 +192,6 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
     _require_rng(rng)
     start = time.monotonic()
     k, n = G.k, G.n
-    if k < 3:
-        raise PreconditionError("round tiling needs k >= 3")
     sig = Fraction(sigma)
     if set(U) != set(range(1, k + 1)) or set(W) != set(range(1, k + 1)):
         raise PreconditionError("U and W must cover parts 1..k")
@@ -216,14 +206,11 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
             raise PreconditionError(f"U_{i} and W_{i} overlap")
     need_U = (1 + sig) * mk / 2
     need_W = (1 + Fraction(1, k) + sig) * mk / 2
-    bad = _check_pool_degrees(G, U, need_U)
-    if bad:
-        raise PoolConditionError(
-            f"degree into U pools below (1+sigma)mk/2 = {need_U}", bad)
-    bad = _check_pool_degrees(G, W, need_W)
-    if bad:
-        raise PoolConditionError(
-            f"degree into W pools below (1+1/k+sigma)mk/2 = {need_W}", bad)
+    for pools, need, name in ((U, need_U, "U pools below (1+sigma)mk/2"),
+                              (W, need_W, "W pools below (1+1/k+sigma)mk/2")):
+        bad = _check_pool_degrees(G, pools, need)
+        if bad:
+            raise PoolConditionError(f"degree into {name} = {need}", bad)
 
     # split each U_i into k chunks of m with chunk degrees >= m/2
     need_chunk = Fraction(m, 2)
@@ -245,7 +232,10 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
     for j in range(k):
         for i in range(1, k + 1):
             nxt = part_after(k, i)
-            mm = max_matching_matrix(G.pair_matrix(i), chunks[i][j], chunks[nxt][j])
+            left, right = chunks[i][j], chunks[nxt][j]
+            sub = G.adjacency_rows(i, nxt, left)[:, right]
+            mm = {left[a]: right[b] for a, b in
+                  max_matching_matrix(sub, range(m), range(m)).items()}
             if len(mm) != m:
                 raise StageFailure(
                     "matching",
@@ -260,20 +250,15 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
         first = part_after(k, jpart)
         last = part_before(k, jpart)
         wmask = _pool_mask(G, jpart, W[jpart])
-        paths = []
-        for x in chunks[first][j]:
-            path = {first: x}
-            p, v = first, x
+        for x in chunks[first][j]:  # in increasing order
+            path, p, y = {first: x}, first, x
             while p != last:
-                v = follow[(p, j)][v]
+                y = follow[(p, j)][y]
                 p = part_after(k, p)
-                path[p] = v
-            paths.append(path)
-        # close each path through a fresh vertex of W_j; the degree
-        # condition leaves at least sigma*mk + 1 candidates at every step
-        for path in sorted(paths, key=lambda d: d[first]):
-            x, y = path[first], path[last]
-            cand = wmask & G.pair_matrix(jpart)[:, x] & G.pair_matrix(last)[y, :]
+                path[p] = y
+            # close the path through a fresh vertex of W_j; the degree
+            # condition leaves at least sigma*mk + 1 candidates at every step
+            cand = wmask & G.adjacency_rows(first, jpart, x) & G.adjacency_rows(last, jpart, y)
             ws = np.flatnonzero(cand)
             if ws.size == 0:
                 raise StageFailure(
@@ -287,8 +272,7 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
 
     U_prime = {}
     for i in range(1, k + 1):
-        rest = sorted(set(W[i]) - set(used_W[i]))
-        U_prime[i] = sorted(chunks[i][i - 1] + rest)
+        U_prime[i] = sorted(chunks[i][i - 1] + list(set(W[i]) - set(used_W[i])))
         if len(U_prime[i]) != mk:
             raise StageFailure("replacement", f"U'_{i} has size {len(U_prime[i])}")
     bad = _check_pool_degrees(G, U_prime, need_U)
@@ -324,10 +308,7 @@ class Gadget:
     cycles: list
 
     def vertex_refs(self) -> list:
-        out = []
-        for cyc in self.cycles:
-            out.extend(VertexRef(p + 1, idx) for p, idx in enumerate(cyc))
-        return out
+        return [VertexRef(p + 1, idx) for cyc in self.cycles for p, idx in enumerate(cyc)]
 
     def can_absorb(self, G: BlowupGraph, trans: Sequence[int]) -> bool:
         k = G.k
@@ -336,9 +317,8 @@ class Gadget:
             cyc = self.cycles[i - 1]
             nxt = cyc[part_after(k, i) - 1]
             prv = cyc[part_before(k, i) - 1]
-            if not (G.pair_matrix(i)[u, nxt] and G.pair_matrix(part_before(k, i))[prv, u]):
-                return False
-            if u == cyc[i - 1]:
+            if u == cyc[i - 1] or not (G.pair_bits(i)[0][u] >> nxt & 1 and
+                                       G.pair_bits(part_before(k, i))[0][prv] >> u & 1):
                 return False
         return True
 
@@ -364,11 +344,9 @@ class AbsorberSet:
         return len(self.absorbers)
 
     def vertices(self) -> dict:
-        out: Dict[int, list] = {}
-        for a in self.absorbers:
-            for ref in a.vertex_refs():
-                out.setdefault(ref.part, []).append(ref.index)
-        return {p: sorted(ids) for p, ids in sorted(out.items())}
+        refs = [ref for a in self.absorbers for ref in a.vertex_refs()]
+        return {p: sorted(r.index for r in refs if r.part == p)
+                for p in sorted({r.part for r in refs})}
 
 
 def _random_path(G, rng, avail, start_part, start_idx, length, close_to=None):
@@ -381,9 +359,9 @@ def _random_path(G, rng, avail, start_part, start_idx, length, close_to=None):
     p, v = start_part, start_idx
     for step in range(length):
         q = part_after(k, p)
-        mask = G.pair_matrix(p)[v] & avail[q - 1]
+        mask = G.adjacency_rows(p, q, v) & avail[q - 1]
         if step == length - 1 and close_to is not None:
-            mask = mask & G.pair_matrix(q)[:, close_to]
+            mask = mask & G.adjacency_rows(part_after(k, q), q, close_to)
         cand = np.flatnonzero(mask)
         if cand.size == 0:
             return None
@@ -418,7 +396,6 @@ def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
             ext = _random_path(G, rng, work, i, anchors[i - 1], k - 1,
                                close_to=anchors[i - 1])
             if ext is None:
-                cycles = None
                 break
             cyc = [0] * k
             cyc[i - 1] = anchors[i - 1]
@@ -428,7 +405,7 @@ def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
                 cyc[p - 1] = idx
                 work[p - 1][idx] = False
             cycles.append(tuple(cyc))
-        if cycles is None:
+        if len(cycles) < k:
             continue
         gadget = Gadget(anchors, cycles)
         score = 1.0
@@ -436,8 +413,8 @@ def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
             cyc = gadget.cycles[i - 1]
             nxt = cyc[part_after(k, i) - 1]
             prv = cyc[part_before(k, i) - 1]
-            common = (G.pair_matrix(i)[:, nxt] & G.pair_matrix(part_before(k, i))[prv, :])
-            score *= float(common.sum()) / G.n
+            common = G.pair_bits(i)[1][nxt] & G.pair_bits(part_before(k, i))[0][prv]
+            score *= float(common.bit_count()) / G.n
         if score > best_score:
             best_score = score
             best = gadget
@@ -497,50 +474,48 @@ def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
 
 
 def _normalize_W(G: BlowupGraph, W) -> dict:
-    if isinstance(W, dict):
-        out = {p: sorted(int(i) for i in ids) for p, ids in W.items()}
-    else:
-        out = {}
-        for p, i in W:
-            out.setdefault(int(p), []).append(int(i))
-        out = {p: sorted(ids) for p, ids in out.items()}
-    for p in range(1, G.k + 1):
-        out.setdefault(p, [])
-    return out
+    """W, a dict of index lists or (part, index) pairs, as sorted index
+    lists for every part."""
+    out = {p: [] for p in range(1, G.k + 1)}
+    for p, i in [(p, i) for p, ids in W.items() for i in ids] if isinstance(W, dict) else W:
+        out.setdefault(int(p), []).append(int(i))
+    return {p: sorted(ids) for p, ids in out.items()}
 
 
 def _assign_and_assemble(G: BlowupGraph, absorber: AbsorberSet, W: dict):
     """Pair off W into index-aligned transversals, match them to
-    distinct absorbers, and return the cycles tiling A union W, or an
-    explanation string."""
+    distinct absorbers, and return ``(cycles, None)`` with the cycles
+    tiling A union W, or ``(None, reason)`` when no assignment exists.
+
+    W must be balanced across parts, disjoint from the absorber, and
+    at most one transversal per unit of capacity; violating that raises
+    PreconditionError.
+    """
     sizes = {p: len(W[p]) for p in range(1, G.k + 1)}
     if len(set(sizes.values())) != 1:
-        return None, f"W is unbalanced across parts: {sizes}"
+        raise PreconditionError(f"W must be balanced across parts, got {sizes}")
     L = sizes[1]
     if L > absorber.capacity:
-        return None, f"|W per part| = {L} exceeds capacity {absorber.capacity}"
-    own = {p: set(ids) for p, ids in absorber.vertices().items()}
+        raise PreconditionError(
+            f"|W per part| = {L} exceeds absorber capacity {absorber.capacity}")
+    own = absorber.vertices()
     for p in range(1, G.k + 1):
-        overlap = own.get(p, set()) & set(W[p])
+        overlap = set(own.get(p, [])) & set(W[p])
         if overlap:
-            return None, f"W meets the absorber in part {p}: {sorted(overlap)}"
+            raise PreconditionError(f"W meets the absorber in part {p}: {sorted(overlap)}")
     transversals = [tuple(W[p][j] for p in range(1, G.k + 1)) for j in range(L)]
-    adj = np.zeros((L, absorber.capacity), dtype=bool)
-    for a, trans in enumerate(transversals):
-        for b, g in enumerate(absorber.absorbers):
-            adj[a, b] = g.can_absorb(G, trans)
+    adj = np.array([[g.can_absorb(G, t) for g in absorber.absorbers] for t in transversals],
+                   dtype=bool).reshape(L, absorber.capacity)
     mm = max_matching_matrix(adj, list(range(L)), list(range(absorber.capacity)))
     if len(mm) != L:
         lonely = [transversals[a] for a in range(L) if a not in mm]
         return None, f"{L - len(mm)} transversals cannot be assigned; " \
                      f"first stranded: {lonely[:3]}"
+    taker = {b: a for a, b in mm.items()}
     cycles = []
     for b, g in enumerate(absorber.absorbers):
-        used = [a for a, bb in mm.items() if bb == b]
-        if used:
-            cycles.extend(g.absorb_cycles(G, transversals[used[0]]))
-        else:
-            cycles.extend(g.own_cycles())
+        cycles.extend(g.absorb_cycles(G, transversals[taker[b]]) if b in taker
+                      else g.own_cycles())
     return cycles, None
 
 
@@ -554,34 +529,16 @@ def verify_absorber(G: BlowupGraph, absorber: AbsorberSet, W) -> bool:
     PreconditionError.  A failed assignment returns False.
     """
     Wn = _normalize_W(G, W)
-    sizes = {p: len(ids) for p, ids in Wn.items()}
-    if len(set(sizes.values())) != 1:
-        raise PreconditionError(f"W must be balanced across parts, got {sizes}")
-    if sizes[1] > absorber.capacity:
-        raise PreconditionError(
-            f"|W per part| = {sizes[1]} exceeds absorber capacity {absorber.capacity}")
-    own = absorber.vertices()
-    for p in range(1, G.k + 1):
-        overlap = set(own.get(p, [])) & set(Wn[p])
-        if overlap:
-            raise PreconditionError(
-                f"W meets the absorber in part {p}: {sorted(overlap)}")
-    cycles, why = _assign_and_assemble(G, absorber, Wn)
+    cycles, _ = _assign_and_assemble(G, absorber, Wn)
     if cycles is None:
         return False
-    covered: Dict[int, set] = {p: set() for p in range(1, G.k + 1)}
-    for cyc in cycles:
-        for p, idx in enumerate(cyc, start=1):
-            if idx in covered[p]:
-                raise StageFailure("assembly", f"vertex ({p},{idx}) covered twice")
-            covered[p].add(idx)
-    want = {p: set(absorber.vertices().get(p, [])) | set(Wn[p])
-            for p in range(1, G.k + 1)}
-    if covered != want:
-        raise StageFailure("assembly", "assembled cycles do not cover A union W")
-    err = validate_tiling(G, cycles)
+    err = validate_tiling(G, cycles)  # the cycles are disjoint transversal cycles
     if err is not None:
         raise StageFailure("assembly", f"invalid absorber tiling: {err}")
+    own = absorber.vertices()
+    if any({c[p - 1] for c in cycles} != set(own.get(p, [])) | set(Wn[p])
+           for p in range(1, G.k + 1)):
+        raise StageFailure("assembly", "assembled cycles do not cover A union W")
     return True
 
 
@@ -607,32 +564,17 @@ def _plan_sizes(n: int, k: int, m: int) -> Optional[dict]:
     robust): z = k*s absorber vertices per part, T full rounds of mk
     cycles, and a leftover of at most one transversal per gadget."""
     mk = m * k
-    feasible = None
-    for s in range(1, n + 1):
-        z = k * s
-        budget = n - z
-        if budget < 2 * mk:
-            break
-        T_plus_1 = budget // mk
-        r = budget - T_plus_1 * mk
-        leftover = mk + r
-        if leftover <= s:
-            feasible = {"s": s, "z": z, "T": T_plus_1 - 1, "r": r,
-                        "leftover": leftover, "m": m, "mk": mk}
-            break
-    if feasible is None:
+
+    def plan(s):  # the accounting with s gadgets, None if it does not close
+        budget = n - k * s
+        r = budget % mk
+        if budget >= 2 * mk and mk + r <= s:
+            return {"s": s, "z": k * s, "T": budget // mk - 1, "r": r,
+                    "leftover": mk + r, "m": m, "mk": mk}
         return None
-    s2 = feasible["s"] * 2
-    z = k * s2
-    budget = n - z
-    if budget >= 2 * mk:
-        T_plus_1 = budget // mk
-        r = budget - T_plus_1 * mk
-        leftover = mk + r
-        if leftover <= s2:
-            return {"s": s2, "z": z, "T": T_plus_1 - 1, "r": r,
-                    "leftover": leftover, "m": m, "mk": mk}
-    return feasible
+
+    feasible = next(filter(None, map(plan, range(1, (n - 2 * mk) // k + 1))), None)
+    return feasible and (plan(2 * feasible["s"]) or feasible)
 
 
 def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
@@ -662,10 +604,9 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
     if plan is None:
         raise StageFailure("sizing", f"no absorber size closes the accounting "
                                      f"for n = {n}, k = {k}, m = {m}")
-    mk, s, T, r = plan["mk"], plan["s"], plan["T"], plan["r"]
+    mk, s, T = plan["mk"], plan["s"], plan["T"]
     stages: list = []
 
-    last_failure = None
     for attempt in range(3):
         try:
             t0 = time.monotonic()
@@ -677,7 +618,6 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
             t0 = time.monotonic()
             A = absorber.vertices()
             outside: Dict[int, list] = {}
-            reservoir: Dict[int, list] = {}
             chunks: Dict[int, list] = {}
             need_W = (1 + Fraction(1, k) + sig) * mk / 2
             for i in range(1, k + 1):
@@ -688,7 +628,6 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
                 pick = sorted(int(x) for x in
                               rng.choice(free, size=(T + 1) * mk, replace=False))
                 outside[i] = sorted(set(free) - set(pick))
-                reservoir[i] = pick
                 for sub_attempt in range(max_retries + 1):
                     cand, worst = _balanced_split(G, i, pick, T + 1, mk, rng)
                     if mk - max(worst) >= need_W:
@@ -734,5 +673,4 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
         except StageFailure as exc:
             last_failure = exc
             stages.append({"stage": exc.stage, "failed": str(exc)})
-            continue
     raise last_failure

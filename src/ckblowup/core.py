@@ -9,14 +9,15 @@ size n is a transversal C_k-factor.
 Conventions, used consistently across the package:
 
 * parts are 1-indexed, vertex indices inside a part are 0-based;
-* adjacency is stored as k dense boolean matrices, one per consecutive
-  pair, so that the hot loops (cycle enumeration, degree counting) are
-  row intersections / row sums of boolean arrays;
+* adjacency is stored as packed bit rows of each consecutive pair and
+  of its transpose; only this module knows the word layout.  Callers
+  read bool rows of the vertices they name (``adjacency_rows``), rows
+  of Python-int bitsets (``pair_bits``), or, for small graphs, whole
+  bool matrices (``pair_matrix``);
 * a transversal cycle is a plain tuple of k indices whose position p
   (0-based) is the vertex index in part p+1;
 * the exact searches see a vertex set as k Python ints, bit i of entry
-  p-1 standing for vertex i of V_p, and read adjacency as rows of such
-  bitsets (``pair_bits``);
+  p-1 standing for vertex i of V_p;
 * graphs are immutable once built.  Search code that deletes vertices
   clears bits of its vertex set, never rebuilds the graph;
 * a graph file (``graph_to_json``) is JSON of the form
@@ -40,9 +41,6 @@ import numpy as np
 
 JSON_FORMAT = "ckblowup/2"
 _V1_FORMAT = "ckblowup/1"  # edge lists, still read
-
-Cycle = tuple  # tuple of k vertex indices, position p <-> part p+1
-
 
 class PreconditionError(ValueError):
     """A documented operation precondition does not hold."""
@@ -75,41 +73,64 @@ def _check_sizes(k: int, n: int) -> None:
         raise PreconditionError(f"n must be >= 1, got {n}")
 
 
-def bit_rows(mat: np.ndarray) -> tuple:
-    """The rows of a 2-D boolean array as ints: bit w of entry u is mat[u, w]."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+_BAND = 1024  # rows packed at a time; a multiple of 64, so bands start on a word
 
 
 class BlowupGraph:
     """Immutable spanning subgraph of C_k[n].
 
-    ``pair_matrix(i)[u, w]`` is True iff vertex u of V_i is adjacent to
-    vertex w of V_{i+1}.
+    Pair i is held as the packed rows of its matrix and of its transpose,
+    ``_words[i, i+1]`` and ``_words[i+1, i]``: bit w of row u of
+    ``_words[p, q]`` is set iff vertex u of V_p is adjacent to vertex w
+    of V_q.  A row is ceil(n/64) 64-bit words kept as little-endian
+    bytes, so bit w is bit w % 8 of byte w // 8; unused bits are zero.
     """
 
-    __slots__ = ("k", "n", "_adj", "_bits")
+    __slots__ = ("k", "n", "_words", "_bits")
 
     def __init__(self, k: int, n: int, adjacency: Sequence[np.ndarray]):
         _check_sizes(k, n)
         if len(adjacency) != k:
             raise PreconditionError(f"need {k} pair matrices, got {len(adjacency)}")
-        mats = []
-        for m in adjacency:
-            a = np.array(m, dtype=bool, copy=True)
-            if a.shape != (n, n):
-                raise PreconditionError(f"pair matrix has shape {a.shape}, expected {(n, n)}")
-            a.setflags(write=False)
-            mats.append(a)
-        self.k = k
-        self.n = n
-        self._adj = tuple(mats)
-        self._bits = None
+        mats = [np.asarray(m, dtype=bool) for m in adjacency]
+        for m in mats:
+            if m.shape != (n, n):
+                raise PreconditionError(f"pair matrix has shape {m.shape}, expected {(n, n)}")
+        self._pack(k, n, lambda i, lo, hi: np.packbits(mats[i - 1][lo:hi], 1, bitorder="little"))
+
+    def _pack(self, k: int, n: int, band) -> None:
+        """Fill the words from ``band(i, lo, hi)``, rows lo..hi-1 of pair
+        i's matrix packed 8 bits a byte, one band of rows at a time: the
+        band goes into the row words, and its bit transpose into bits
+        lo..hi-1 of every column row."""
+        shape, nbytes = (n, 8 * -(-n // 64)), -(-n // 8)
+        self.k, self.n, self._words, self._bits = k, n, {}, None
+        for i in range(1, k + 1):
+            rows, cols = np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8)
+            for lo in range(0, n, _BAND):
+                packed = band(i, lo, min(lo + _BAND, n))
+                rows[lo:lo + len(packed), :nbytes] = packed
+                t = _transpose_bits(packed)[:n]
+                cols[:, lo // 8:lo // 8 + t.shape[1]] = t
+            rows.setflags(write=False)
+            cols.setflags(write=False)
+            self._words[i, part_after(k, i)], self._words[part_after(k, i), i] = rows, cols
+
+    def adjacency_rows(self, p: int, q: int, ids) -> np.ndarray:
+        """Bool neighbourhoods in the adjacent part V_q of the vertices
+        ``ids`` of V_p, one row each, as a new array; ``ids`` is anything
+        that indexes rows (an int gives one 1-D row).  Only those rows
+        are unpacked."""
+        words = self._words.get((p, q))
+        if words is None:
+            raise PreconditionError(f"parts {p} and {q} are not adjacent parts of 1..{self.k}")
+        return np.unpackbits(words[ids], -1, self.n, "little").view(bool)
 
     def pair_matrix(self, i: int) -> np.ndarray:
-        """Adjacency of the pair (V_i, V_{i+1}), rows indexed by V_i."""
-        self._check_part(i)
-        return self._adj[i - 1]
+        """Adjacency of the pair (V_i, V_{i+1}), rows indexed by V_i, read-only."""
+        out = self.adjacency_rows(i, part_after(self.k, i), slice(None))
+        out.setflags(write=False)
+        return out
 
     def pair_bits(self, i: int) -> tuple:
         """``pair_matrix(i)`` as bitsets ``(rows, cols)``: bit w of
@@ -117,8 +138,13 @@ class BlowupGraph:
         all pairs on the first call."""
         self._check_part(i)
         if self._bits is None:
-            self._bits = tuple((bit_rows(m), bit_rows(m.T)) for m in self._adj)
+            self._bits = tuple((_ints(self._words[p, q]), _ints(self._words[q, p]))
+                               for p, q in self._pairs())
         return self._bits[i - 1]
+
+    def _pairs(self) -> Iterator[tuple]:
+        """(i, i+1) for every consecutive pair, in order."""
+        return ((i, part_after(self.k, i)) for i in range(1, self.k + 1))
 
     def _check_part(self, i: int) -> None:
         if not 1 <= i <= self.k:
@@ -132,12 +158,12 @@ class BlowupGraph:
     def edges(self) -> Iterator[tuple]:
         """All edges as (i, u, w) with u in V_i, w in V_{i+1}, sorted."""
         for i in range(1, self.k + 1):
-            rows, cols = np.nonzero(self._adj[i - 1])
+            rows, cols = np.nonzero(self.pair_matrix(i))
             for u, w in zip(rows.tolist(), cols.tolist()):
                 yield (i, u, w)
 
     def edge_count(self) -> int:
-        return sum(int(m.sum()) for m in self._adj)
+        return sum(int(_degrees(self._words[e]).sum()) for e in self._pairs())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlowupGraph):
@@ -145,7 +171,7 @@ class BlowupGraph:
         return (
             self.k == other.k
             and self.n == other.n
-            and all(np.array_equal(a, b) for a, b in zip(self._adj, other._adj))
+            and all(np.array_equal(self._words[e], other._words[e]) for e in self._pairs())
         )
 
     def __hash__(self):
@@ -153,6 +179,31 @@ class BlowupGraph:
 
     def __repr__(self) -> str:
         return f"BlowupGraph(k={self.k}, n={self.n}, edges={self.edge_count()})"
+
+
+def _transpose_bits(packed: np.ndarray) -> np.ndarray:
+    """The little-endian packed rows of the transpose of the bit matrix
+    whose rows ``packed`` (uint8) holds, padded with zero rows.  Each 8x8
+    bit block, gathered into one uint64 with byte i from row i, is
+    transposed by three masked swaps."""
+    r = -(-len(packed) // 8)
+    x = np.zeros((r * 8, packed.shape[1]), np.uint8)
+    x[:len(packed)] = packed
+    x = x.reshape(r, 8, -1).transpose(0, 2, 1).copy().view("<u8")
+    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)):
+        t = (x ^ (x >> np.uint64(s))) & np.uint64(m)
+        x ^= t ^ (t << np.uint64(s))
+    return x.view(np.uint8).reshape(r, -1, 8).transpose(1, 2, 0).reshape(-1, r)
+
+
+def _degrees(words: np.ndarray) -> np.ndarray:
+    """The number of set bits of each packed row."""
+    return np.bitwise_count(words.view("<u8")).sum(axis=1)
+
+
+def _ints(words: np.ndarray) -> tuple:
+    """The packed rows of ``words`` as Python ints."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in words)
 
 
 def build_graph(k: int, n: int, edges: Iterable[tuple]) -> BlowupGraph:
@@ -204,12 +255,8 @@ def degree_profile(G: BlowupGraph) -> DegreeProfile:
     delta_i is the minimum, over both sides, of the degree within the pair
     (V_i, V_{i+1}); delta_star is min_i delta_i.
     """
-    deltas = []
-    for i in range(1, G.k + 1):
-        m = G.pair_matrix(i)
-        row_min = int(m.sum(axis=1).min())
-        col_min = int(m.sum(axis=0).min())
-        deltas.append(min(row_min, col_min))
+    deltas = [int(min(_degrees(G._words[e]).min() for e in (pq, pq[::-1])))
+              for pq in G._pairs()]
     return DegreeProfile(tuple(deltas), min(deltas))
 
 
@@ -222,7 +269,7 @@ def validate_cycle(G: BlowupGraph, cycle: Sequence[int]) -> Optional[str]:
             return f"cycle {tuple(cycle)} has out-of-range index {idx} in part {p + 1}"
     for p in range(G.k):
         q = (p + 1) % G.k
-        if not G.pair_matrix(p + 1)[cycle[p], cycle[q]]:
+        if not G.pair_bits(p + 1)[0][cycle[p]] >> cycle[q] & 1:
             return (
                 f"cycle {tuple(cycle)} misses edge between part {p + 1} vertex "
                 f"{cycle[p]} and part {q + 1} vertex {cycle[q]}"
@@ -254,8 +301,9 @@ def validate_tiling(G: BlowupGraph, cycles: Sequence[Sequence[int]]) -> Optional
 
 
 def graph_to_json_dict(G: BlowupGraph) -> dict:
-    pairs = [base64.b64encode(np.packbits(m, bitorder="little")).decode("ascii")
-             for m in G._adj]
+    pairs = [base64.b64encode(b"".join(  # bands of 8j rows pack to whole bytes
+        np.packbits(G.adjacency_rows(p, q, slice(lo, lo + _BAND)), bitorder="little").tobytes()
+        for lo in range(0, G.n, _BAND))).decode("ascii") for p, q in G._pairs()]
     return {"format": JSON_FORMAT, "k": G.k, "n": G.n, "pairs": pairs}
 
 
@@ -282,14 +330,25 @@ def graph_from_json_dict(obj: dict) -> BlowupGraph:
             raise PreconditionError(f"graph JSON key {key!r} must be an integer")
     if not isinstance(obj[body], list):
         raise PreconditionError(f"graph JSON key {body!r} must be a list")
+    k, n = obj["k"], obj["n"]
     if fmt == _V1_FORMAT:
-        return build_graph(obj["k"], obj["n"], obj["edges"])
-    return BlowupGraph(obj["k"], obj["n"], _unpack_pairs(obj["k"], obj["n"], obj["pairs"]))
+        return build_graph(k, n, obj["edges"])
+    raw = _decode_pairs(k, n, obj["pairs"])
+    G = object.__new__(BlowupGraph)
+
+    def band(i, lo, hi):  # rows lo..hi-1 start on a byte, as _BAND is a multiple of 8
+        if n % 8 == 0:  # and so does every row
+            return raw[i - 1][lo * n // 8:hi * n // 8].reshape(-1, n // 8)
+        bits = np.unpackbits(raw[i - 1][lo * n // 8:], count=(hi - lo) * n, bitorder="little")
+        return np.packbits(bits.reshape(-1, n), axis=1, bitorder="little")
+
+    G._pack(k, n, band)
+    return G
 
 
-def _unpack_pairs(k: int, n: int, pairs: list) -> list:
-    """The k (n, n) matrices of a ``ckblowup/2`` ``"pairs"`` list, each
-    checked to be exactly the string graph_to_json writes for it."""
+def _decode_pairs(k: int, n: int, pairs: list) -> list:
+    """The k packed matrices of a ``ckblowup/2`` ``"pairs"`` list as byte
+    arrays, each checked to be exactly the string graph_to_json writes."""
     _check_sizes(k, n)
     if len(pairs) != k:
         raise PreconditionError(f"need {k} pair strings, got {len(pairs)}")
@@ -309,8 +368,7 @@ def _unpack_pairs(k: int, n: int, pairs: list) -> list:
             raise PreconditionError(f"pair {i} is not canonical base64")
         if spare and raw[-1] >> (8 - spare):
             raise PreconditionError(f"pair {i} has nonzero padding bits")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * n, bitorder="little")
-        mats.append(bits.view(bool).reshape(n, n))
+        mats.append(np.frombuffer(raw, dtype=np.uint8))
     return mats
 
 

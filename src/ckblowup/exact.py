@@ -418,16 +418,34 @@ def path_linking_count(G: BlowupGraph, v: VertexRef, v2: VertexRef) -> int:
     matrices.  Every partial count is at most n^(k-1); the products run
     in int64 when that fits, and in Python ints otherwise.
     """
-    k, n = G.k, G.n
     v, v2 = _linking_pair(G, v, v2)
-    p = v.part
-    rows = G.pair_matrix(p)
-    vec = (rows[v.index] & rows[v2.index]).astype(np.int64 if n ** (k - 1) < 2**63 else object)
-    for _ in range(k - 2):
-        p = p % k + 1
-        vec = vec @ G.pair_matrix(p)
-    back = G.pair_matrix(p % k + 1)  # the pair (V_{i-1}, V_i)
-    return int(vec[back[:, v.index] & back[:, v2.index]].sum())
+    return _path_counts(G, v.part, [(v.index, v2.index)])[0]
+
+
+_LINK_BAND = 256
+
+
+def _path_counts(G: BlowupGraph, i: int, pairs: list) -> list:
+    """``path_linking_count`` of each pair (a, b) of V_i, as a list of
+    ints.  The pairs go through as rows of one product, ``_LINK_BAND`` at
+    a time, and each product step reads ``_LINK_BAND`` rows of a pair
+    matrix at a time, so memory stays a few bands whatever n."""
+    k, n = G.k, G.n
+    nxt, prv = i % k + 1, (i - 2) % k + 1
+    dtype = np.int64 if n ** (k - 1) < 2**63 else object
+    out = []
+    for lo in range(0, len(pairs), _LINK_BAND):
+        a, b = np.array(pairs[lo:lo + _LINK_BAND]).T
+        vec = (G.adjacency_rows(i, nxt, a) & G.adjacency_rows(i, nxt, b)).astype(dtype)
+        p = nxt
+        for _ in range(k - 2):
+            q = p % k + 1
+            vec = sum(vec[:, r:r + _LINK_BAND] @ G.adjacency_rows(p, q, slice(r, r + _LINK_BAND))
+                      for r in range(0, n, _LINK_BAND))
+            p = q
+        ends = G.adjacency_rows(i, prv, a) & G.adjacency_rows(i, prv, b)
+        out += np.where(ends, vec, 0).sum(axis=1).tolist()
+    return out
 
 
 def union_linking_bits(G: BlowupGraph, t: int) -> tuple:
@@ -513,9 +531,10 @@ def is_linked(G: BlowupGraph, eta, t: int, *, max_work: int = 20_000_000) -> Lin
         raise PreconditionError(f"eta = {eta} must be positive")
     _check_linking_t(k, t)
     threshold = eta * n**t
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]  # in scan order
     if t == k - 1:
-        def count(i, a, b):
-            return path_linking_count(G, VertexRef(i, a), VertexRef(i, b))
+        def counts(i):
+            return _path_counts(G, i, pairs)
     else:
         est = _linking_work_estimate(G, t)
         if est > max_work:
@@ -524,15 +543,14 @@ def is_linked(G: BlowupGraph, eta, t: int, *, max_work: int = 20_000_000) -> Lin
             )
         bits, orderings = union_linking_bits(G, t)
 
-        def count(i, a, b):
-            return (bits[i - 1][a] & bits[i - 1][b]).bit_count() * orderings
+        def counts(i):
+            return [(bits[i - 1][a] & bits[i - 1][b]).bit_count() * orderings
+                    for a, b in pairs]
     min_pair = None
     min_count = None
     for i in range(1, k + 1):
-        for a in range(n):
-            for b in range(a, n):
-                c = count(i, a, b)
-                if min_count is None or c < min_count:
-                    min_count = c
-                    min_pair = (VertexRef(i, a), VertexRef(i, b))
+        for (a, b), c in zip(pairs, counts(i)):
+            if min_count is None or c < min_count:
+                min_count = c
+                min_pair = (VertexRef(i, a), VertexRef(i, b))
     return LinkedResult(Fraction(min_count) >= threshold, min_pair, min_count, threshold)

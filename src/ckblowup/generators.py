@@ -21,6 +21,7 @@ plus uniform-random instances with prescribed bipartite minimum degrees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -107,32 +108,33 @@ class CoverExample:
         return {1: list(self.blocks["A_0"]), 2: list(self.blocks["B_0"]), 3: list(self.blocks["C_0"])}
 
 
-def cover_example(p: int, q: int) -> CoverExample:
-    """Triangle-cover-number < n instance for gamma = p/q in (3/4, 7/9].
-
-    n is minimal with gamma >= 3/4 + 1/n, gamma*n integral and
-    (1-beta)n/2 integral (beta = 4/3 - gamma); epsilon = 1/n.  Parts are
-    A = V_1, B = V_2, C = V_3 with blocks A_0..A_3 etc., block sizes
-    |B_i| = (1-gamma+eps)n, |A_i| = |C_i| = (1-beta)n/2 for i in [3],
-    |B_0| = (3gamma-2)n - 3, |A_0| = |C_0| = (3beta-1)n/2.
+def cover_size(p: int, q: int) -> int:
+    """The n of ``cover_example(p, q)``: the least n with gamma >= 3/4 + 1/n,
+    gamma*n integral and (1-beta)n/2 integral, where gamma = p/q must lie
+    in (3/4, 7/9] and beta = 4/3 - gamma.  The n with both integral are
+    the multiples of one step; n is the least of them >= 1/(gamma - 3/4).
     """
     gamma = Fraction(p, q)
     if not Fraction(3, 4) < gamma <= Fraction(7, 9):
         raise PreconditionError(f"gamma must lie in (3/4, 7/9], got {gamma}")
+    step = math.lcm(gamma.denominator, ((gamma - Fraction(1, 3)) / 2).denominator)
+    n = step * math.ceil(1 / (gamma - Fraction(3, 4)) / step)
+    if n >= 10**6:
+        raise PreconditionError("no admissible n found")
+    return n
+
+
+def cover_example(p: int, q: int) -> CoverExample:
+    """Triangle-cover-number < n instance for gamma = p/q in (3/4, 7/9].
+
+    n is ``cover_size(p, q)`` and epsilon = 1/n.  Parts are
+    A = V_1, B = V_2, C = V_3 with blocks A_0..A_3 etc., block sizes
+    |B_i| = (1-gamma+eps)n, |A_i| = |C_i| = (1-beta)n/2 for i in [3],
+    |B_0| = (3gamma-2)n - 3, |A_0| = |C_0| = (3beta-1)n/2.
+    """
+    n = cover_size(p, q)
+    gamma = Fraction(p, q)
     beta = Fraction(4, 3) - gamma
-    n = None
-    cand = 1
-    while n is None:
-        ok = (
-            gamma >= Fraction(3, 4) + Fraction(1, cand)
-            and (gamma * cand).denominator == 1
-            and ((1 - beta) * cand / 2).denominator == 1
-        )
-        if ok:
-            n = cand
-        cand += 1
-        if cand > 10**6:
-            raise PreconditionError("no admissible n found")
     eps = Fraction(1, n)
 
     side = int((1 - beta) * n / 2)  # |A_i| = |C_i|

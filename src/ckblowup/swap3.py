@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BlowupGraph, PreconditionError, bit_rows, degree_profile
+from .core import BlowupGraph, PreconditionError, degree_profile
 from .exact import _greedy_packing
 
 LABELS = ("A", "B", "C")
@@ -90,7 +90,7 @@ class LabeledTiling:
         self.M = {}
         for pair in PAIRS:
             p, q = self.lab.part_of[pair[0]], self.lab.part_of[pair[1]]
-            self.M[pair] = G.pair_matrix(p) if q == p % 3 + 1 else G.pair_matrix(q).T
+            self.M[pair] = G.adjacency_rows(p, q, slice(None))
         self.unc = {lab: np.ones(G.n, dtype=bool) for lab in LABELS}
         self.tri: list = []
         for c in cycles or ():
@@ -131,7 +131,8 @@ class LabeledTiling:
         """Extend by the deterministic maximal packing of the uncovered
         induced subgraph (in original part space)."""
         in_part_order = sorted(LABELS, key=self.lab.part_of.get)
-        bits = bit_rows(np.array([self.unc[lab] for lab in in_part_order]))
+        bits = [int.from_bytes(np.packbits(self.unc[lab], bitorder="little").tobytes(), "little")
+                for lab in in_part_order]
         added = 0
         for cyc in _greedy_packing(self.G, bits):
             self.add_triangle(tuple(cyc[self.lab.part_of[lab] - 1] for lab in LABELS))

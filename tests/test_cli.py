@@ -80,6 +80,48 @@ def test_generate_size_cap_is_on_k_n_squared_bytes(tmp_path, capsys, monkeypatch
                  "--out", out]) == 3
     assert "75 bytes" in capsys.readouterr().err
 
+    def no_generation(*args):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(cli, "haggkvist_example", no_generation)
+    monkeypatch.setattr(cli, "cover_example", no_generation)
+    # haggkvist: n = 2km = 6; cover 7/9: n = 36
+    for family, need in ((["haggkvist", "--m", "1"], 108), (["cover"], 3 * 36 * 36)):
+        assert main(["generate", "--family", *family, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{need} bytes" in err
+    monkeypatch.undo()  # the generators again, and a cap of exactly 108 bytes
+    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: 108)
+    assert main(["generate", "--family", "haggkvist", "--m", "1", "--out", out]) == 0
+    # a bad --m or --p/--q is still a usage error, not a size refusal
+    assert main(["generate", "--family", "haggkvist", "--m", "-1000000", "--out", out]) == 2
+    assert main(["generate", "--family", "cover", "--p", "1", "--q", "2", "--out", out]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [4000, 10**6])
+@pytest.mark.parametrize("fmt,body", [("ckblowup/1", "edges"), ("ckblowup/2", "pairs")])
+def test_loading_refuses_oversized_graph_before_allocating(n, fmt, body, tmp_path, capsys,
+                                                           monkeypatch):
+    from ckblowup import core
+
+    def no_building(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(core, "build_graph", no_building)
+    monkeypatch.setattr(core, "_decode_pairs", no_building)
+    if n == 4000:  # 48 MB of bool matrices, over a cap patched down to 47 MB
+        monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: 3 * 4000 * 4000 - 1)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({body: [], "format": fmt, "k": 3, "n": n},
+                               sort_keys=True, separators=(",", ":")))
+    if fmt == "ckblowup/1" and n == 4000:
+        assert path.stat().st_size == 49
+    assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{3 * n * n} bytes" in err
+    assert "Traceback" not in err
+
 
 def test_generate_random_requires_seed(capsys):
     assert main(["generate", "--family", "random", "--k", "3", "--n", "6",

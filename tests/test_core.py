@@ -24,6 +24,7 @@ from ckblowup.core import (
     validate_cycle,
     validate_tiling,
 )
+from ckblowup.constructive import _degrees_into
 from ckblowup.generators import complete_blowup, random_min_degree
 
 
@@ -214,6 +215,58 @@ def test_canonical_load_makes_no_object_per_edge():
     assert H == G
     # the k pair matrices themselves are k * n^2 bytes
     assert peak < 3 * k * n * n
+
+
+def stored_arrays(G):
+    """Every numpy array the graph holds."""
+    out = []
+    for name in type(G).__slots__:
+        value = getattr(G, name)
+        items = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, (tuple, list)) else [value])
+        out.extend(a for a in items if isinstance(a, np.ndarray))
+    return out
+
+
+def bits_of(row):
+    return sum(1 << int(w) for w in np.flatnonzero(row))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.sampled_from([3, 4, 5]), n=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 129]),
+       density=st.sampled_from([0.0, 0.5, 0.95, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_packed_rows_agree_with_bool_matrices(k, n, density, seed):
+    draw = np.random.default_rng(seed)
+    mats = draw.random((k, n, n)) < density
+    G = BlowupGraph(k, n, mats)
+    arrays = stored_arrays(G)
+    assert arrays and all(a.dtype != bool for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 2 * k * n * -(-n // 64) * 8
+    for i in range(1, k + 1):
+        j = part_after(k, i)
+        m = mats[i - 1]
+        assert np.array_equal(G.pair_matrix(i), m)
+        assert not G.pair_matrix(i).flags.writeable
+        ids = sorted(draw.choice(n, size=int(draw.integers(0, n + 1)), replace=False).tolist())
+        assert np.array_equal(G.adjacency_rows(i, j, ids), m[ids].reshape(len(ids), n))
+        assert np.array_equal(G.adjacency_rows(j, i, ids), m.T[ids].reshape(len(ids), n))
+        assert np.array_equal(G.adjacency_rows(j, i, n - 1), m[:, n - 1])
+        rows, cols = G.pair_bits(i)
+        assert list(rows) == [bits_of(r) for r in m]
+        assert list(cols) == [bits_of(c) for c in m.T]
+        # degrees of V_j into the pool ids of V_i, and of V_i into ids of V_j
+        assert np.array_equal(_degrees_into(G, j, i, ids), m[ids].sum(axis=0))
+        assert np.array_equal(_degrees_into(G, i, j, ids), m[:, ids].sum(axis=1))
+    if k > 3:
+        with pytest.raises(PreconditionError):
+            G.adjacency_rows(1, 3, [0])
+    want = [min(m.sum(axis=1).min(), m.sum(axis=0).min()) for m in mats]
+    assert degree_profile(G) == (tuple(want), min(want))
+    assert G.edge_count() == int(mats.sum())
+    text = graph_to_json(G)
+    H = graph_from_json(text)
+    assert H == G and graph_to_json(H) == text
+    assert all(np.array_equal(H.pair_matrix(i + 1), mats[i]) for i in range(k))
 
 
 def test_dot_export_mentions_every_part_and_edge():

@@ -2,12 +2,14 @@
 tilings against subset enumeration, linking counts against direct tuple
 enumeration, cover numbers against weak duality and known instances."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from ckblowup.core import VertexRef, PreconditionError, validate_tiling
+from ckblowup import exact
+from ckblowup.core import BlowupGraph, VertexRef, PreconditionError, validate_tiling
 from ckblowup.exact import (
     InfeasibleSizeError,
     cover_number,
@@ -293,6 +295,52 @@ def test_path_linking_count_beyond_int64():
     got = path_linking_count(G, VertexRef(3, 0), VertexRef(3, 1))
     assert got == 520**7 > 2**63
     assert type(got) is int
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_path_linking_count_in_bands_matches_matrix_product(k, monkeypatch):
+    G = random_min_degree(k, 20, [12] * k, seed=k)
+    mats = [G.pair_matrix(p).astype(object) for p in range(1, k + 1)]
+
+    def reference(i, a, b):
+        vec = mats[i - 1][a] * mats[i - 1][b]  # common neighbours in V_{i+1}
+        for p in range(i, i + k - 2):  # the pairs i+1 .. i+k-2
+            vec = vec @ mats[p % k]
+        back = mats[(i - 2) % k]  # the pair (V_{i-1}, V_i)
+        return int(vec @ (back[:, a] * back[:, b]))
+
+    whole = is_linked(G, Fraction(1, 10**6), k - 1)
+    monkeypatch.setattr(exact, "_LINK_BAND", 7)  # several bands, the last one short
+    for i in range(1, k + 1):
+        for a, b in [(0, 0), (3, 11), (19, 2)]:
+            assert path_linking_count(G, VertexRef(i, a), VertexRef(i, b)) == reference(i, a, b)
+    assert is_linked(G, Fraction(1, 10**6), k - 1) == whole
+
+
+def test_is_linked_unpacks_per_part_not_per_pair(monkeypatch):
+    G = random_min_degree(4, 6, [4] * 4, seed=1)
+    calls = []
+    unpack = BlowupGraph.adjacency_rows
+    monkeypatch.setattr(BlowupGraph, "adjacency_rows",
+                        lambda self, *args: calls.append(args) or unpack(self, *args))
+    assert is_linked(G, Fraction(1, 16000), 3).count == 41
+    # per part: both ends on each side and one call per product step,
+    # against 21 pairs per part
+    assert len(calls) == G.k * (2 + 2 + G.k - 2)
+
+
+def test_path_linking_count_holds_a_few_bands():
+    n = 2000
+    G = complete_blowup(3, n)
+    tracemalloc.start()
+    try:
+        got = path_linking_count(G, VertexRef(1, 0), VertexRef(1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == n * n
+    # one pair matrix widened to int64 would be 8 n^2 bytes
+    assert peak < 2 * n * n
 
 
 def test_enumerate_linking_preconditions():

@@ -7,7 +7,7 @@ import pytest
 
 from ckblowup.core import PreconditionError, degree_profile
 from ckblowup.exact import is_cover, max_tiling
-from ckblowup.generators import cover_example, haggkvist_example, random_min_degree
+from ckblowup.generators import cover_example, cover_size, haggkvist_example, random_min_degree
 
 
 @pytest.mark.parametrize("k,m", [(3, 1), (3, 2), (4, 1)])
@@ -112,3 +112,24 @@ def test_random_min_degree_validates_args():
         random_min_degree(3, 6, [3, 3], seed=0)
     with pytest.raises(PreconditionError):
         random_min_degree(3, 6, [3, 3, 7], seed=0)
+
+
+def test_cover_size_is_the_least_admissible_n():
+    def search(gamma):  # the scan cover_example made before cover_size
+        beta = Fraction(4, 3) - gamma
+        n = 1
+        while not (gamma >= Fraction(3, 4) + Fraction(1, n) and (gamma * n).denominator == 1
+                   and ((1 - beta) * n / 2).denominator == 1):
+            n += 1
+        return n
+
+    checked = 0
+    for q in range(1, 80):
+        for p in range(q):
+            if Fraction(3, 4) < Fraction(p, q) <= Fraction(7, 9):
+                assert cover_size(p, q) == search(Fraction(p, q)), (p, q)
+                checked += 1
+    assert checked > 50
+    assert cover_example(7, 9).n == cover_size(7, 9) == 36
+    with pytest.raises(PreconditionError):
+        cover_size(3, 4)
