@@ -39,10 +39,8 @@ from .exact import (
     CoverResult,
     InfeasibleSizeError,
     LinkedResult,
-    LinkingCount,
     MaxTilingResult,
     cover_number,
-    enumerate_linking,
     has_factor,
     is_cover,
     is_linked,
@@ -69,7 +67,6 @@ from .constructive import (
     asymp_factor,
     build_absorber,
     round_tiling,
-    verify_absorber,
 )
 from .inequality import (
     ALL_SYSTEMS,
@@ -112,10 +109,8 @@ __all__ = [
     "CoverResult",
     "InfeasibleSizeError",
     "LinkedResult",
-    "LinkingCount",
     "MaxTilingResult",
     "cover_number",
-    "enumerate_linking",
     "has_factor",
     "is_cover",
     "is_linked",
@@ -138,7 +133,6 @@ __all__ = [
     "asymp_factor",
     "build_absorber",
     "round_tiling",
-    "verify_absorber",
     "ALL_SYSTEMS",
     "Certificate",
     "Constraint",

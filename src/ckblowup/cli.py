@@ -8,9 +8,10 @@ linkedness check), verify (inequality system certificates), experiment
 
 Exit codes: 0 on success, 2 on malformed input or unmet preconditions,
 3 on an exhausted budget (time, depth, retries, or a refused oversized
-sweep), 1 when a guaranteed search comes up empty.  Every randomized
-subcommand requires --seed, and all JSON output is canonical (sorted
-keys, no spaces), so identical invocations produce identical bytes.
+sweep), 1 when a guaranteed search comes up empty or a certificate
+fails its check.  Every randomized subcommand requires --seed, and all
+JSON output is canonical (sorted keys, no spaces), so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .inequality import (
     FeasiblePoint,
     certify_infeasible,
     grid_scan,
+    lemma_system,
 )
 from .swap3 import CounterexampleError, near_factor3
 from .constructive import StageFailure, asymp_factor
@@ -70,6 +72,9 @@ def _load_graph(path: str):
             obj = json.load(fh)
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"error: {path} is not UTF-8 text "
+                         f"({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         print(f"error: {path} is not valid JSON at line {exc.lineno} "
               f"column {exc.colno}", file=sys.stderr)
@@ -115,11 +120,18 @@ def _parse_deltas(text: str, k: int) -> list:
 
 
 def _matrix_bytes_cap() -> int:
-    """Largest k*n^2 that generate builds and the CLI loads: a quarter of
-    physical memory.  A graph keeps its pairs as packed bits, about
-    k*n^2/4 bytes with their transposes, but the generators and the
-    ``ckblowup/1`` loader first fill k*n^2 bytes of bool matrices."""
+    """Largest k*n^2 that generate builds and the CLI loads, and largest
+    lattice that verify scans: a quarter of physical memory.  A graph
+    keeps its pairs as packed bits, about k*n^2/4 bytes with their
+    transposes, but the generators and the ``ckblowup/1`` loader first
+    fill k*n^2 bytes of bool matrices."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
+
+
+# grid_scan builds a Fraction and a float for each of the N+1 lattice
+# coordinates of every axis up front: 127 bytes each once built, 135 at
+# the peak of building (tracemalloc, N = 10^5, on B1, B3 and B5)
+_GRID_COORD_BYTES = 136
 
 
 def _oversized(k: int, n: int) -> bool:
@@ -314,6 +326,14 @@ def cmd_verify(args) -> int:
         raise SystemExit(f"error: --margin must be a fraction, got {args.margin!r}")
     if args.grid is not None and args.grid < 1:
         raise SystemExit(f"error: --grid must be at least 1, got {args.grid}")
+    if args.grid is not None:
+        dims = max(len(lemma_system(sid).variables) for sid in systems)
+        need, cap = dims * (args.grid + 1) * _GRID_COORD_BYTES, _matrix_bytes_cap()
+        if need > cap:
+            print(f"error: --grid {args.grid} needs about {need} bytes of lattice "
+                  f"coordinates, over the cap of {cap} (a quarter of physical memory)",
+                  file=sys.stderr)
+            return 3
     reports = []
     worst = 0
     for sid in systems:
@@ -333,6 +353,13 @@ def cmd_verify(args) -> int:
             })
             print(f"{sid}: FEASIBLE at "
                   + ", ".join(f"{v} = {x}" for v, x in sorted(res.point.items())))
+            continue
+        if not res.verify():
+            print(f"error: {sid}: the certificate fails its independent check",
+                  file=sys.stderr)
+            worst = max(worst, 1)
+            reports.append({"system": sid, "certified": False,
+                            "reason": "check-failed"})
             continue
         entry = {"system": sid, "certified": True, "leaves": len(res.leaves),
                  "nodes": res.nodes, "depth": res.depth,

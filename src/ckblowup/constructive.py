@@ -13,13 +13,14 @@ Conventions shared by this module:
   Fractions), and an integer degree d is compared as d < ceil(need),
   which holds iff d < need, so borderline pools are accepted or
   rejected deterministically.
-* Rejection-sampled stages retry up to a bound and then raise
+* Rejection-sampled stages retry ``_RETRIES`` times and then raise
   StageFailure naming the stage; the driver never returns a tiling that
   fails validation.
 * Pool splits draw a random vertex order but then spread the
   non-neighbors of every adjacent vertex evenly across chunks
   (``_balanced_split``); a split missing the degree conditions is
   resampled.  A uniform split meets them only for far larger pools.
+* The pipeline's only input is eps; its other settings are constants.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ from .core import (
 # checks that the tracer patches this module's binding of it
 from .exact import has_factor, path_linking_count  # noqa: F401
 from .matching import max_matching_matrix
+
+_RETRIES = 50  # resamples per split, failed gadgets per absorber
+_ETA = 0.05  # the absorber's spot check wants eta*n^t linking sequences
+_GADGET_TRIES = 60  # random anchor cycles tried per gadget
+_GADGET_PROPOSALS = 3  # complete gadgets compared before keeping the best
 
 
 class PoolConditionError(PreconditionError):
@@ -159,6 +165,18 @@ def _balanced_split(G: BlowupGraph, part: int, pool: Sequence[int], nchunks: int
     return [sorted(ch) for ch in chunks], [len(lv) for lv in levels]
 
 
+def _resplit(G, part, pool, nchunks, chunk_size, need, rng, stage, what) -> tuple:
+    """``_balanced_split`` resampled until every adjacent vertex has at
+    least ``need`` neighbors in every chunk; returns ``(chunks,
+    resplits)``.  After ``_RETRIES`` resamples raises StageFailure."""
+    for resplits in range(_RETRIES + 1):
+        chunks, worst = _balanced_split(G, part, pool, nchunks, chunk_size, rng)
+        if chunk_size - max(worst) >= need:
+            return chunks, resplits
+    raise StageFailure(stage, f"no valid chunk split of {what} "
+                              f"after {_RETRIES} attempts")
+
+
 # ---------------------------------------------------------------------------
 # round tiler
 # ---------------------------------------------------------------------------
@@ -174,7 +192,7 @@ class RoundResult:
 
 
 def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
-                 rng: np.random.Generator, max_resplits: int = 50) -> RoundResult:
+                 rng: np.random.Generator) -> RoundResult:
     """One production round: covers all of U and one k-th of each W_i by
     mk disjoint transversal cycles and returns the replacement pool.
 
@@ -213,19 +231,12 @@ def round_tiling(G: BlowupGraph, U: dict, W: dict, sigma,
             raise PoolConditionError(f"degree into {name} = {need}", bad)
 
     # split each U_i into k chunks of m with chunk degrees >= m/2
-    need_chunk = Fraction(m, 2)
     resplits = 0
     chunks: Dict[int, list] = {}
     for i in range(1, k + 1):
-        for attempt in range(max_resplits + 1):
-            cand, worst = _balanced_split(G, i, U[i], k, m, rng)
-            if m - max(worst) >= need_chunk:
-                chunks[i] = cand
-                break
-            resplits += 1
-        else:
-            raise StageFailure("split", f"no valid chunk split of U_{i} "
-                               f"after {max_resplits} attempts")
+        chunks[i], redrawn = _resplit(G, i, U[i], k, m, Fraction(m, 2), rng,
+                                      "split", f"U_{i}")
+        resplits += redrawn
 
     # perfect matchings between consecutive chunks with the same label
     follow: Dict[Tuple[int, int], dict] = {}
@@ -336,7 +347,6 @@ class Gadget:
 
 @dataclass
 class AbsorberSet:
-    sigma: float
     absorbers: list
 
     @property
@@ -371,7 +381,7 @@ def _random_path(G, rng, avail, start_part, start_idx, length, close_to=None):
     return out
 
 
-def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
+def _build_gadget(G, rng, avail):
     """One gadget on unused vertices, keeping the best of a few
     proposals by the size of the absorbable neighborhoods around its
     anchors (larger common neighborhoods absorb more transversals)."""
@@ -379,7 +389,7 @@ def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
     best = None
     best_score = -1.0
     found = 0
-    for _ in range(tries):
+    for _ in range(_GADGET_TRIES):
         starts = np.flatnonzero(avail[0])
         if starts.size == 0:
             return None
@@ -419,42 +429,35 @@ def _build_gadget(G, rng, avail, tries: int = 60, proposals: int = 3):
             best_score = score
             best = gadget
         found += 1
-        if found >= proposals:
+        if found >= _GADGET_PROPOSALS:
             break
     return best
 
 
-def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
-                   eta=None, count: Optional[int] = None,
-                   max_retries: int = 50) -> AbsorberSet:
+def build_absorber(G: BlowupGraph, rng: np.random.Generator,
+                   count: int) -> AbsorberSet:
     """Absorbing structure with one absorber per unit of capacity.
 
-    Builds ``count`` vertex-disjoint gadgets with t = k-1; when ``eta``
-    is given it first spot-checks that a few same-part pairs have at
-    least eta*n^t linking sequences.
+    First spot-checks that a few same-part pairs have at least
+    _ETA*n^t linking sequences, then builds ``count`` vertex-disjoint
+    gadgets with t = k-1.
     """
     _require_rng(rng)
     k, n = G.k, G.n
     t = k - 1
-    sig = Fraction(sigma)
-    if not 0 < sig < 1:
-        raise PreconditionError("sigma must lie in (0, 1)")
-    if count is None:
-        count = max(1, math.ceil(sig * sig * n))
-    if eta is not None:
-        # spot check: a couple of pairs must reach eta*n^t linking
-        # sequences (exact counts), with the bound capped at 5000
-        cap = min(math.ceil(Fraction(eta) * n**t), 5000)
-        probes = [(VertexRef(1, 0), VertexRef(1, 0))]
-        if n > 1:
-            a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
-            probes.append((VertexRef(1, a), VertexRef(1, b)))
-        for v, v2 in probes:
-            got = path_linking_count(G, v, v2)
-            if got < cap:
-                raise PreconditionError(
-                    f"pair {v}, {v2} has only {got} linking sequences "
-                    f"(needs {cap}); the graph is not (eta, t)-linked")
+    # spot check: a couple of pairs must reach eta*n^t linking
+    # sequences (exact counts), with the bound capped at 5000
+    cap = min(math.ceil(Fraction(_ETA) * n**t), 5000)
+    probes = [(VertexRef(1, 0), VertexRef(1, 0))]
+    if n > 1:
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        probes.append((VertexRef(1, a), VertexRef(1, b)))
+    for v, v2 in probes:
+        got = path_linking_count(G, v, v2)
+        if got < cap:
+            raise PreconditionError(
+                f"pair {v}, {v2} has only {got} linking sequences "
+                f"(needs {cap}); the graph is not (eta, t)-linked")
     avail = [np.ones(n, dtype=bool) for _ in range(k)]
     gadgets = []
     attempts = 0
@@ -462,7 +465,7 @@ def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
         g = _build_gadget(G, rng, avail)
         if g is None:
             attempts += 1
-            if attempts > max_retries:
+            if attempts > _RETRIES:
                 raise StageFailure(
                     "absorber", f"built {len(gadgets)} of {count} gadgets before "
                                 "running out of vertex-disjoint candidates")
@@ -470,16 +473,7 @@ def build_absorber(G: BlowupGraph, sigma, rng: np.random.Generator, *,
         for ref in g.vertex_refs():
             avail[ref.part - 1][ref.index] = False
         gadgets.append(g)
-    return AbsorberSet(float(sigma), gadgets)
-
-
-def _normalize_W(G: BlowupGraph, W) -> dict:
-    """W, a dict of index lists or (part, index) pairs, as sorted index
-    lists for every part."""
-    out = {p: [] for p in range(1, G.k + 1)}
-    for p, i in [(p, i) for p, ids in W.items() for i in ids] if isinstance(W, dict) else W:
-        out.setdefault(int(p), []).append(int(i))
-    return {p: sorted(ids) for p, ids in out.items()}
+    return AbsorberSet(gadgets)
 
 
 def _assign_and_assemble(G: BlowupGraph, absorber: AbsorberSet, W: dict):
@@ -519,29 +513,6 @@ def _assign_and_assemble(G: BlowupGraph, absorber: AbsorberSet, W: dict):
     return cycles, None
 
 
-def verify_absorber(G: BlowupGraph, absorber: AbsorberSet, W) -> bool:
-    """True iff the absorber produces a validated tiling of its own
-    vertex set together with W, by assigning each index-aligned
-    transversal of W to a distinct absorber.
-
-    W must be balanced across parts, disjoint from the absorber, and
-    at most one transversal per unit of capacity; violating that raises
-    PreconditionError.  A failed assignment returns False.
-    """
-    Wn = _normalize_W(G, W)
-    cycles, _ = _assign_and_assemble(G, absorber, Wn)
-    if cycles is None:
-        return False
-    err = validate_tiling(G, cycles)  # the cycles are disjoint transversal cycles
-    if err is not None:
-        raise StageFailure("assembly", f"invalid absorber tiling: {err}")
-    own = absorber.vertices()
-    if any({c[p - 1] for c in cycles} != set(own.get(p, [])) | set(Wn[p])
-           for p in range(1, G.k + 1)):
-        raise StageFailure("assembly", "assembled cycles do not cover A union W")
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the factor driver
 # ---------------------------------------------------------------------------
@@ -577,9 +548,7 @@ def _plan_sizes(n: int, k: int, m: int) -> Optional[dict]:
     return feasible and (plan(2 * feasible["s"]) or feasible)
 
 
-def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
-                 eta: float = 0.05, sigma=None,
-                 max_retries: int = 50) -> FactorResult:
+def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator) -> FactorResult:
     """Transversal cycle factor of a blow-up with every pair minimum
     degree at least (1 + 1/k + eps) n/2, built by the randomized
     pipeline: a gadget absorber, repeated production rounds, and
@@ -596,22 +565,21 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
     if prof.delta_star < need:
         raise PreconditionError(
             f"delta* = {prof.delta_star} is below (1+1/k+eps)n/2 = {float(need):.2f}")
-    if sigma is None:
-        sigma = min(float(eps) / 4, 0.05)
-    sig = Fraction(sigma)
+    sig = Fraction(min(float(eps) / 4, 0.05))
     m = max(5, int(sig * sig * n / (2 * k)))
     plan = _plan_sizes(n, k, m)
     if plan is None:
         raise StageFailure("sizing", f"no absorber size closes the accounting "
                                      f"for n = {n}, k = {k}, m = {m}")
+    if not 0 < sig < 1:
+        raise PreconditionError("sigma must lie in (0, 1)")
     mk, s, T = plan["mk"], plan["s"], plan["T"]
     stages: list = []
 
     for attempt in range(3):
         try:
             t0 = time.monotonic()
-            absorber = build_absorber(G, float(sig), rng, count=s, eta=eta,
-                                      max_retries=max_retries)
+            absorber = build_absorber(G, rng, s)
             stages.append({"stage": "absorber", "gadgets": s,
                            "millis": (time.monotonic() - t0) * 1000})
 
@@ -628,15 +596,8 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
                 pick = sorted(int(x) for x in
                               rng.choice(free, size=(T + 1) * mk, replace=False))
                 outside[i] = sorted(set(free) - set(pick))
-                for sub_attempt in range(max_retries + 1):
-                    cand, worst = _balanced_split(G, i, pick, T + 1, mk, rng)
-                    if mk - max(worst) >= need_W:
-                        chunks[i] = cand
-                        break
-                else:
-                    raise StageFailure("reservoir",
-                                       f"no valid chunk split of part {i} reservoir "
-                                       f"after {max_retries} attempts")
+                chunks[i], _ = _resplit(G, i, pick, T + 1, mk, need_W, rng,
+                                        "reservoir", f"part {i} reservoir")
             stages.append({"stage": "reservoir", "chunks": T + 1, "chunk_size": mk,
                            "millis": (time.monotonic() - t0) * 1000})
 
@@ -645,8 +606,7 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
             U = {i: chunks[i][0] for i in range(1, k + 1)}
             for rnd in range(1, T + 1):
                 Wr = {i: chunks[i][rnd] for i in range(1, k + 1)}
-                res = round_tiling(G, U, Wr, float(sig), rng,
-                                   max_resplits=max_retries)
+                res = round_tiling(G, U, Wr, float(sig), rng)
                 cycles.extend(res.cycles)
                 U = res.U_prime
             stages.append({"stage": "rounds", "rounds": T, "cycles": T * mk,
@@ -669,7 +629,7 @@ def asymp_factor(G: BlowupGraph, eps, rng: np.random.Generator, *,
             if err is not None:
                 raise StageFailure("validation", f"invalid factor: {err}")
             return FactorResult(sorted(cycles), dict(plan, sigma=float(sig),
-                                                     eta=eta), stages)
+                                                     eta=_ETA), stages)
         except StageFailure as exc:
             last_failure = exc
             stages.append({"stage": exc.stage, "failed": str(exc)})

@@ -6,9 +6,9 @@ the reference implementation for the randomized pipeline.  Linking
 counts come from two closed forms: for any t, the unions of (t+1)/k
 disjoint transversal cycles, listed once per graph
 (``union_linking_bits``); for t = k-1, a product of pair matrices along
-a transversal path (``path_linking_count``).  ``enumerate_linking``,
-which tests every candidate set with ``has_factor``, is the reference
-they are tested against.  Conventions:
+a transversal path (``path_linking_count``).  The tests check both
+against a reference that tests every candidate set with ``has_factor``.
+Conventions:
 
 * Searches are deterministic.  Vertices are scanned in increasing index
   order, parts in increasing label order, so optima and witnesses are
@@ -31,7 +31,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
 from typing import Optional
 
 import numpy as np
@@ -336,74 +335,6 @@ def _check_linking_t(k: int, t: int) -> None:
     if t < k - 1 or (t + 1) % k != 0:
         raise PreconditionError(
             f"t = {t} must be at least k-1 = {k - 1} with t+1 divisible by k = {k}")
-
-
-@dataclass
-class LinkingCount:
-    count: int
-    sequences: Optional[list] = None
-
-
-def enumerate_linking(
-    G: BlowupGraph,
-    v: VertexRef,
-    v2: VertexRef,
-    t: int,
-    collect: bool = False,
-) -> LinkingCount:
-    """Count of linking sequences for the same-part pair (v, v2), by
-    testing every candidate set; the reference for the closed forms.
-
-    A linking sequence is an ordered t-tuple of distinct vertices, all
-    different from v and v2, whose entries follow the cyclic part
-    pattern starting one part after the pair's part, such that adding
-    either v or v2 yields an induced subgraph with a transversal cycle
-    factor.  Since the factor condition depends only on the underlying
-    vertex set, sets are enumerated once per part-wise combination and
-    multiplied by the number of per-part orderings.
-    """
-    k, n = G.k, G.n
-    v, v2 = _linking_pair(G, v, v2)
-    _check_linking_t(k, t)
-    pattern = linking_pattern(k, v.part, t)
-    slots = {p: pattern.count(p) for p in range(1, k + 1) if pattern.count(p)}
-    parts = sorted(slots)
-    excluded = {v.index, v2.index}
-    cands = {
-        p: [i for i in range(n) if p != v.part or i not in excluded] for p in parts
-    }
-    orderings = 1
-    for p in parts:
-        orderings *= math.factorial(slots[p])
-
-    count = 0
-    seqs = [] if collect else None
-    pools = [list(combinations(cands[p], slots[p])) for p in parts]
-    for combo in product(*pools):
-        chosen = {p: list(sel) for p, sel in zip(parts, combo)}
-        bits = [0] * k
-        for p in parts:
-            for idx in chosen[p]:
-                bits[p - 1] |= 1 << idx
-        ok = True
-        for base in {v, v2}:
-            alive = list(bits)
-            alive[base.part - 1] |= 1 << base.index
-            if not has_factor(G, alive=alive):
-                ok = False
-                break
-        if not ok:
-            continue
-        count += orderings
-        if collect:
-            part_positions = {p: [j for j, q in enumerate(pattern) if q == p] for p in parts}
-            for arrangement in product(*(permutations(chosen[p]) for p in parts)):
-                seq = [None] * t
-                for p, perm in zip(parts, arrangement):
-                    for pos, idx in zip(part_positions[p], perm):
-                        seq[pos] = VertexRef(p, idx)
-                seqs.append(tuple(seq))
-    return LinkingCount(count, seqs)
 
 
 def path_linking_count(G: BlowupGraph, v: VertexRef, v2: VertexRef) -> int:

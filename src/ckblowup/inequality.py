@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence
 
@@ -554,7 +554,8 @@ class FeasiblePoint:
 class Certificate:
     """Partition of the box into leaves, each discarded by one named
     pruning constraint (see _pruning_constraints) whose factored or mean
-    value enclosure lies entirely below its cut.  ``to_dict`` and
+    value enclosure lies entirely below its cut.  It keeps the system
+    and the pruning list it was certified with.  ``to_dict`` and
     ``to_json`` give it as plain data; ``verify`` checks that data with
     certcheck.check, which shares no code with the prover."""
 
@@ -565,17 +566,16 @@ class Certificate:
     depth: int
     millis: float
     box_volume: Fraction
+    system: System = field(repr=False, compare=False)
+    pruning: list = field(repr=False, compare=False)  # _pruning_constraints
 
-    def to_dict(self, system: Optional[System] = None) -> dict:
+    def to_dict(self) -> dict:
         """The certificate and its system as the plain data certcheck
         reads (the README lists the fields).  An unknown constraint name
         or a missing side becomes None, which check rejects."""
-        system = system or lemma_system(self.sid)
+        system = self.system
         variables = list(system.variables)
-        pruning = _pruning_constraints(system, self.margin)
-        sources = ([{"c": i} for i in range(len(system.constraints))]
-                   + [{"c": i, "s": j, "w": str(w)} for i, j, w in _combinations(system)])
-        index = {c.name: k for k, (c, _) in enumerate(pruning)}
+        index = {c.name: k for k, (c, _, _) in enumerate(self.pruning)}
         L = math.lcm(*(e.denominator for pair in system.box.values() for e in pair), *(
             e.denominator for items, _ in self.leaves for _, pair in items for e in pair))
         leaves = []
@@ -594,7 +594,7 @@ class Certificate:
                              "monomials": [[list(m), str(k)] for k, m in c._table.monos]}
                             for c in system.constraints],
             "pruning": [dict(src, cut=str(cut), terms=_plain_terms(c._table.terms))
-                        for (c, cut), src in zip(pruning, sources)],
+                        for c, cut, src in self.pruning],
             "L": L,
             "leaves": leaves,
         }
@@ -603,8 +603,8 @@ class Certificate:
         """``to_dict`` as canonical JSON: sorted keys, no spaces."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
-    def verify(self, system: Optional[System] = None) -> bool:
-        return certcheck.check(self.to_dict(system))
+    def verify(self) -> bool:
+        return certcheck.check(self.to_dict())
 
 
 def _plain_terms(terms: list) -> list:
@@ -632,9 +632,11 @@ _COMBO_WEIGHTS = (F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(1))
 
 def _pruning_constraints(system: System, margin: Fraction) -> list:
     """The constraints a certificate may prune with, as (constraint,
-    cut) pairs: every system constraint (cut = margin for strict ones,
-    0 otherwise) plus derived combinations c + w*s for each nonlinear
-    constraint c and strict constraint s, with cut w*margin.
+    cut, source) triples: every system constraint i (cut = margin for
+    strict ones, 0 otherwise; source {"c": i}) plus derived combinations
+    c + w*s for each nonlinear constraint c and strict constraint s,
+    with cut w*margin (source {"c": c, "s": s, "w": w}, c and s as
+    indices into the system's constraints and w as a string).
 
     The combinations are sound consequences: a point of the tightened
     system satisfies c >= cut_c and s >= margin, hence c + w*s >=
@@ -644,23 +646,17 @@ def _pruning_constraints(system: System, margin: Fraction) -> list:
     enclosure goes negative on boxes far wider than the margin, which
     single constraints cannot do there."""
     cons = system.constraints
-    out = [(c, margin if c.kind == "gt" else F(0)) for c in cons]
-    for i, j, w in _combinations(system):
-        c, s = cons[i], cons[j]
-        out.append((Constraint(f"{c.name}+{w}*{s.name}", c.expr + w * s.expr, "ge"),
-                    out[i][1] + w * margin))
+    out = [(c, margin if c.kind == "gt" else F(0), {"c": i}) for i, c in enumerate(cons)]
+    for j, s in enumerate(cons):
+        if s.kind != "gt":
+            continue
+        for i, c in enumerate(cons):
+            if c is s or all(len(m) < 2 for _, m in c._table.monos):
+                continue
+            for w in _COMBO_WEIGHTS:
+                out.append((Constraint(f"{c.name}+{w}*{s.name}", c.expr + w * s.expr, "ge"),
+                            out[i][1] + w * margin, {"c": i, "s": j, "w": str(w)}))
     return out
-
-
-def _combinations(system: System) -> list:
-    """(c, s, w) for each derived pruning constraint c + w*s, c and s as
-    indices into the system's constraints, in _pruning_constraints'
-    order."""
-    cons = system.constraints
-    return [(i, j, w) for j, s in enumerate(cons) if s.kind == "gt"
-            for i, c in enumerate(cons)
-            if c is not s and any(len(m) >= 2 for _, m in c._table.monos)
-            for w in _COMBO_WEIGHTS]
 
 
 def certify_infeasible(system, max_depth: int = 40,
@@ -688,8 +684,8 @@ def certify_infeasible(system, max_depth: int = 40,
     leaves: list = []
     state = {"nodes": 0, "depth": 0}
 
-    screen = _FloatScreen([c for c, _ in pruning], system.variables)
-    fcut_arr = np.array([float(cut) for _, cut in pruning])
+    screen = _FloatScreen([c for c, _, _ in pruning], system.variables)
+    fcut_arr = np.array([float(cut) for _, cut, _ in pruning])
     order = system.variables
     dim = len(order)
 
@@ -700,7 +696,7 @@ def certify_infeasible(system, max_depth: int = 40,
         pairs = list(pruning)
         if hint is not None:
             pairs.insert(0, pairs.pop(hint))
-        for c, cut in pairs:
+        for c, cut, _ in pairs:
             if c._below(ibox, cut, True):
                 return c.name
         return None
@@ -887,7 +883,7 @@ def certify_infeasible(system, max_depth: int = 40,
             "the recursion should partition the box exactly")
     leaves = [leaves[i] for i in sorted(range(len(leaves)), key=keys.__getitem__)]
     return Certificate(system.sid, margin, leaves, state["nodes"],
-                       state["depth"], millis, volume)
+                       state["depth"], millis, volume, system, pruning)
 
 
 @dataclass

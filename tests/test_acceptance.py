@@ -22,10 +22,10 @@ from ckblowup.core import (
 )
 from ckblowup.constructive import (
     StageFailure,
+    _assign_and_assemble,
     asymp_factor,
     build_absorber,
     round_tiling,
-    verify_absorber,
 )
 from ckblowup.exact import cover_number, is_cover, is_linked, max_tiling
 from ckblowup.generators import (
@@ -258,7 +258,7 @@ def test_criterion_07_absorbing_property(record_property):
     sigma=0.1 absorbs 50 seeded balanced leftovers of ceil(sigma^2 n)=1
     vertex per part (zero failures)."""
     G = complete_blowup(3, 30)
-    ab = build_absorber(G, 0.1, np.random.default_rng(70), count=3)
+    ab = build_absorber(G, np.random.default_rng(70), 3)
     assert ab.capacity == 3
     used = ab.vertices()
     per_part = 1  # ceil(0.1^2 * 30)
@@ -270,7 +270,11 @@ def test_criterion_07_absorbing_property(record_property):
             free = sorted(set(range(30)) - set(used[p]))
             W[p] = sorted(int(x) for x in rng.choice(free, size=per_part,
                                                      replace=False))
-        assert verify_absorber(G, ab, W)
+        cycles, why = _assign_and_assemble(G, ab, W)
+        assert cycles is not None, why
+        assert validate_tiling(G, cycles) is None
+        for p in (1, 2, 3):  # the cycles tile A union W
+            assert sorted(c[p - 1] for c in cycles) == sorted(used[p] + W[p])
         checks += 1
     record_property("detail", f"{checks} leftovers absorbed, 0 failures")
 

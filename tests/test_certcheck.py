@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckblowup import certcheck
+from ckblowup import certcheck, inequality
 from ckblowup.inequality import (
     ALL_SYSTEMS,
     Add,
@@ -44,9 +44,15 @@ def cert_file(sid):
 
 
 @pytest.mark.parametrize("sid", ALL_SYSTEMS)
-def test_committed_file_is_a_fresh_certificate(sid):
-    fresh = certify_infeasible(sid).to_json()
-    assert fresh.encode() == (CERT_DIR / f"{sid}.json").read_bytes()
+def test_committed_file_is_a_fresh_certificate(sid, monkeypatch):
+    cert = certify_infeasible(sid)
+
+    def compile_again(expr):
+        raise AssertionError("a certificate compiled a constraint again")
+
+    # the certificate writes the system and pruning list it was built with
+    monkeypatch.setattr(inequality, "_compile", compile_again)
+    assert cert.to_json().encode() == (CERT_DIR / f"{sid}.json").read_bytes()
 
 
 # Loads certcheck.py by path, so the package __init__ never runs.
@@ -263,9 +269,10 @@ def test_a_bound_that_only_reaches_the_cut_is_rejected():
     x = Var("x")
     for expr, proved in ((-x, False), (-x - F(1, 10), True)):
         system = System("toy", ("x",), {"x": (F(0), F(1))}, [Constraint("neg", expr)])
-        cert = Certificate("toy", F(1, 10**6), [((("x", (F(0), F(1))),), "neg")],
-                           1, 0, 0.0, F(1))
-        assert cert.verify(system) is proved
+        margin = F(1, 10**6)
+        cert = Certificate("toy", margin, [((("x", (F(0), F(1))),), "neg")],
+                           1, 0, 0.0, F(1), system, _pruning_constraints(system, margin))
+        assert cert.verify() is proved
 
 
 @pytest.mark.parametrize("path", [
@@ -347,7 +354,7 @@ def test_written_forms_expand_alike_in_sympy(sid):
     variables = list(system.variables)
     pruning = _pruning_constraints(system, F(1, 10**6))  # system constraints first
     files = cert_file(sid)["pruning"] if sid in ALL_SYSTEMS else None
-    for j, (c, _) in enumerate(pruning):
+    for j, (c, _, _) in enumerate(pruning):
         want = sympy_monomials(sympy, c.expr, variables)
         assert c.expr.monomials() == want, c.name
         assert {names: k for k, names in c._table.monos} == want, c.name

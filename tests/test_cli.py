@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from ckblowup import cli
+from ckblowup import certcheck, cli
 from ckblowup.cli import build_parser, main
 from ckblowup.core import (
     VertexRef,
@@ -18,6 +18,7 @@ from ckblowup.core import (
     graph_to_json,
 )
 from ckblowup.exact import is_cover
+from ckblowup.inequality import FeasiblePoint
 from ckblowup.generators import complete_blowup, haggkvist_example
 
 
@@ -200,6 +201,16 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
+    assert main(["check", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} is not UTF-8 text")
+    assert "Traceback" not in captured.err
+
+
 def test_wrong_payload_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "other/9"}')
@@ -283,6 +294,19 @@ def test_tile_constructive(tmp_path, capsys):
                  "--epsilon", "0.25"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["size"] == 90 and payload["optimal"] is True
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.5"])
+def test_tile_constructive_rejects_sigma_outside_unit_interval(eps, tmp_path, capsys):
+    # sigma = min(eps/4, 0.05); at n = 200 the sizing check passes, so
+    # the sigma check is what refuses (at n = 60 sizing fails first)
+    path = tmp_path / "c3200.json"
+    path.write_text(graph_to_json(complete_blowup(3, 200)))
+    assert main(["tile", str(path), "--constructive", "--seed", "1",
+                 "--epsilon", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sigma must lie in (0, 1)\n"
 
 
 def test_cover(hagg_file, capsys):
@@ -373,6 +397,35 @@ def test_verify_rejects_grid_below_1(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""  # refused before any certification
         assert captured.err.startswith("error: --grid")
+
+
+def test_verify_refuses_a_grid_over_the_cap_before_certifying(monkeypatch, capsys):
+    # B5 has 5 axes of grid + 1 coordinates each
+    need = 5 * 1001 * cli._GRID_COORD_BYTES
+    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: need - 1)
+    assert main(["verify", "--system", "B1", "B5", "--grid", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing was certified
+    assert captured.err.startswith(f"error: --grid 1000 needs about {need} bytes")
+    # at the cap it goes on; each system then stands in as feasible
+    calls = []
+    monkeypatch.setattr(cli, "certify_infeasible", lambda sid, **kw:
+                        calls.append(sid) or FeasiblePoint(sid, {}, {}))
+    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: need)
+    assert main(["verify", "--system", "B1", "B5", "--grid", "1000"]) == 1
+    assert calls == ["B1", "B5"]
+    capsys.readouterr()
+
+
+def test_verify_checks_the_certificate_before_reporting(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(certcheck, "check", lambda data: False)
+    assert main(["verify", "--system", "B1", "--grid", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # neither "infeasible" nor a grid line
+    assert captured.err == "error: B1: the certificate fails its independent check\n"
+    assert json.loads(out.read_text()) == [
+        {"system": "B1", "certified": False, "reason": "check-failed"}]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -20,16 +20,15 @@ from ckblowup.core import (
 )
 from ckblowup import constructive
 from ckblowup.constructive import (
-    AbsorberSet,
     PoolConditionError,
     StageFailure,
+    _assign_and_assemble,
     _balanced_split,
     _check_pool_degrees,
     _plan_sizes,
     asymp_factor,
     build_absorber,
     round_tiling,
-    verify_absorber,
 )
 from ckblowup.generators import complete_blowup, haggkvist_example, random_min_degree
 
@@ -103,7 +102,7 @@ def test_round_tiling_names_degree_violations():
 def test_greedy_absorber_structure():
     G = complete_blowup(3, 30)
     rng = np.random.default_rng(4)
-    ab = build_absorber(G, 0.1, rng, count=3)
+    ab = build_absorber(G, rng, 3)
     assert ab.capacity == 3
     verts = ab.vertices()
     # 3 gadgets, k cycles each, k vertices per cycle: 9 per part
@@ -114,18 +113,19 @@ def test_greedy_absorber_structure():
         assert all(g.cycles[i][i] == anchors[i] for i in range(3))
 
 
-def test_build_absorber_spot_check_rejects_unlinked_pair():
+def test_build_absorber_spot_check_rejects_unlinked_pair(monkeypatch):
     # n = 30, t = 2: the bound eta*n^t = 900 is under the 5000 cap, and
     # the first probe, (V_1[0], V_1[0]), lies on 290 transversal cycles
+    monkeypatch.setattr(constructive, "_ETA", 1)
     G = haggkvist_example(3, 5)[0]
     with pytest.raises(PreconditionError,
                        match=r"has only 290 linking sequences \(needs 900\)"):
-        build_absorber(G, 0.1, np.random.default_rng(0), eta=1)
+        build_absorber(G, np.random.default_rng(0), 1)
 
 
 def test_gadget_absorb_cycles_cover_union():
     G = complete_blowup(3, 30)
-    ab = build_absorber(G, 0.1, np.random.default_rng(5), count=1)
+    ab = build_absorber(G, np.random.default_rng(5), 1)
     g = ab.absorbers[0]
     own = {(p + 1, i) for c in g.own_cycles() for p, i in enumerate(c)}
     trans = tuple(
@@ -142,15 +142,28 @@ def test_gadget_absorb_cycles_cover_union():
 
 def test_gadget_rejects_transversal_on_its_anchor():
     G = complete_blowup(3, 30)
-    ab = build_absorber(G, 0.1, np.random.default_rng(6), count=1)
+    ab = build_absorber(G, np.random.default_rng(6), 1)
     g = ab.absorbers[0]
     trans = list(g.anchors)
     assert not g.can_absorb(G, trans)
 
 
-def test_verify_absorber_accepts_random_balanced_leftovers():
+def absorbs(G, ab, W):
+    """Whether the absorber assigns every index-aligned transversal of W
+    to a distinct gadget; the cycles must then tile A union W."""
+    cycles, _ = _assign_and_assemble(G, ab, W)
+    if cycles is None:
+        return False
+    assert validate_tiling(G, cycles) is None
+    own = ab.vertices()
+    for p in range(1, G.k + 1):
+        assert sorted(c[p - 1] for c in cycles) == sorted(own[p] + W[p])
+    return True
+
+
+def test_absorber_absorbs_random_balanced_leftovers():
     G = complete_blowup(3, 30)
-    ab = build_absorber(G, 0.1, np.random.default_rng(7), count=2)
+    ab = build_absorber(G, np.random.default_rng(7), 2)
     used = ab.vertices()
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -158,23 +171,62 @@ def test_verify_absorber_accepts_random_balanced_leftovers():
         for p in (1, 2, 3):
             free = sorted(set(range(30)) - set(used[p]))
             W[p] = sorted(int(x) for x in rng.choice(free, size=2, replace=False))
-        assert verify_absorber(G, ab, W)
+        assert absorbs(G, ab, W)
 
 
-def test_verify_absorber_preconditions():
+def test_absorber_assignment_preconditions():
     G = complete_blowup(3, 30)
-    ab = build_absorber(G, 0.1, np.random.default_rng(9), count=1)
+    ab = build_absorber(G, np.random.default_rng(9), 1)
     used = ab.vertices()
     free = {p: sorted(set(range(30)) - set(used[p]))[:3] for p in (1, 2, 3)}
     with pytest.raises(PreconditionError):
-        verify_absorber(G, ab, {1: free[1][:2], 2: free[2][:1], 3: free[3][:1]})
+        absorbs(G, ab, {1: free[1][:2], 2: free[2][:1], 3: free[3][:1]})
     with pytest.raises(PreconditionError):
-        verify_absorber(G, ab, {1: free[1][:2], 2: free[2][:2], 3: free[3][:2]})
+        absorbs(G, ab, {1: free[1][:2], 2: free[2][:2], 3: free[3][:2]})
     with pytest.raises(PreconditionError):
-        verify_absorber(G, ab, {1: [used[1][0]], 2: free[2][:1], 3: free[3][:1]})
-    # vertex-list form works too
-    W = [(p, free[p][0]) for p in (1, 2, 3)]
-    assert verify_absorber(G, ab, W)
+        absorbs(G, ab, {1: [used[1][0]], 2: free[2][:1], 3: free[3][:1]})
+    assert absorbs(G, ab, {p: free[p][:1] for p in (1, 2, 3)})
+
+
+def unmeetable_splits(monkeypatch):
+    """Every chunk split must now give each adjacent vertex more
+    neighbors in a chunk than the chunk holds; two resamples allowed.
+    Returns the list the real ``_balanced_split`` calls go to."""
+    monkeypatch.setattr(constructive, "_RETRIES", 2)
+    resplit, split, calls = constructive._resplit, constructive._balanced_split, []
+
+    def unmeetable(G, part, pool, nchunks, chunk_size, need, *rest):
+        return resplit(G, part, pool, nchunks, chunk_size, chunk_size + 1, *rest)
+
+    def counted(*args):
+        calls.append(args[1])
+        return split(*args)
+
+    monkeypatch.setattr(constructive, "_resplit", unmeetable)
+    monkeypatch.setattr(constructive, "_balanced_split", counted)
+    return calls
+
+
+def test_round_split_gives_up_after_retries(monkeypatch):
+    calls = unmeetable_splits(monkeypatch)
+    G = complete_blowup(3, 40)
+    U, W = disjoint_pools(40, 15)
+    with pytest.raises(StageFailure) as info:
+        round_tiling(G, U, W, 0.1, np.random.default_rng(0))
+    assert info.value.stage == "split"
+    assert str(info.value) == "split: no valid chunk split of U_1 after 2 attempts"
+    assert calls == [1, 1, 1]  # the first draw and two resamples
+
+
+def test_reservoir_split_gives_up_after_retries(monkeypatch):
+    calls = unmeetable_splits(monkeypatch)
+    G = complete_blowup(3, 90)
+    with pytest.raises(StageFailure) as info:
+        asymp_factor(G, 0.25, np.random.default_rng(12))
+    assert info.value.stage == "reservoir"
+    assert str(info.value) == ("reservoir: no valid chunk split of part 1 "
+                               "reservoir after 2 attempts")
+    assert calls == [1] * 9  # three draws in each of the three attempts
 
 
 def test_plan_sizes_accounting():

@@ -2,9 +2,12 @@
 tilings against subset enumeration, linking counts against direct tuple
 enumeration, cover numbers against weak duality and known instances."""
 
+import math
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from typing import Optional
 
 import pytest
 
@@ -13,7 +16,6 @@ from ckblowup.core import BlowupGraph, VertexRef, PreconditionError, validate_ti
 from ckblowup.exact import (
     InfeasibleSizeError,
     cover_number,
-    enumerate_linking,
     has_factor,
     is_cover,
     is_linked,
@@ -216,6 +218,75 @@ def test_linking_pattern_walks_forward():
     assert linking_pattern(3, 1, 2) == [2, 3]
     assert linking_pattern(3, 2, 5) == [3, 1, 2, 3, 1]
     assert linking_pattern(4, 4, 3) == [1, 2, 3]
+
+
+@dataclass
+class LinkingCount:
+    count: int
+    sequences: Optional[list] = None
+
+
+def enumerate_linking(
+    G: BlowupGraph,
+    v: VertexRef,
+    v2: VertexRef,
+    t: int,
+    collect: bool = False,
+) -> LinkingCount:
+    """Count of linking sequences for the same-part pair (v, v2), by
+    testing every candidate set: the reference for the closed forms in
+    exact.py.
+
+    A linking sequence is an ordered t-tuple of distinct vertices, all
+    different from v and v2, whose entries follow the cyclic part
+    pattern starting one part after the pair's part, such that adding
+    either v or v2 yields an induced subgraph with a transversal cycle
+    factor.  Since the factor condition depends only on the underlying
+    vertex set, sets are enumerated once per part-wise combination and
+    multiplied by the number of per-part orderings.
+    """
+    k, n = G.k, G.n
+    v, v2 = exact._linking_pair(G, v, v2)
+    exact._check_linking_t(k, t)
+    pattern = linking_pattern(k, v.part, t)
+    slots = {p: pattern.count(p) for p in range(1, k + 1) if pattern.count(p)}
+    parts = sorted(slots)
+    excluded = {v.index, v2.index}
+    cands = {
+        p: [i for i in range(n) if p != v.part or i not in excluded] for p in parts
+    }
+    orderings = 1
+    for p in parts:
+        orderings *= math.factorial(slots[p])
+
+    count = 0
+    seqs = [] if collect else None
+    pools = [list(combinations(cands[p], slots[p])) for p in parts]
+    for combo in product(*pools):
+        chosen = {p: list(sel) for p, sel in zip(parts, combo)}
+        bits = [0] * k
+        for p in parts:
+            for idx in chosen[p]:
+                bits[p - 1] |= 1 << idx
+        ok = True
+        for base in {v, v2}:
+            alive = list(bits)
+            alive[base.part - 1] |= 1 << base.index
+            if not has_factor(G, alive=alive):
+                ok = False
+                break
+        if not ok:
+            continue
+        count += orderings
+        if collect:
+            part_positions = {p: [j for j, q in enumerate(pattern) if q == p] for p in parts}
+            for arrangement in product(*(permutations(chosen[p]) for p in parts)):
+                seq = [None] * t
+                for p, perm in zip(parts, arrangement):
+                    for pos, idx in zip(part_positions[p], perm):
+                        seq[pos] = VertexRef(p, idx)
+                seqs.append(tuple(seq))
+    return LinkingCount(count, seqs)
 
 
 def brute_linking_count(G, v, v2, t):
