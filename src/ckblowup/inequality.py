@@ -559,15 +559,18 @@ class Certificate:
     ``to_json`` give it as plain data; ``verify`` checks that data with
     certcheck.check, which shares no code with the prover."""
 
-    sid: str
+    system: System = field(repr=False, compare=False)
     margin: Fraction
     leaves: list  # ((name, (lo, hi)), ...) sorted box items + constraint name
     nodes: int
     depth: int
     millis: float
     box_volume: Fraction
-    system: System = field(repr=False, compare=False)
     pruning: list = field(repr=False, compare=False)  # _pruning_constraints
+
+    @property
+    def sid(self) -> str:
+        return self.system.sid
 
     def to_dict(self) -> dict:
         """The certificate and its system as the plain data certcheck
@@ -882,8 +885,8 @@ def certify_infeasible(system, max_depth: int = 40,
             f"{system.sid}: leaves cover {F(covered, L ** len(root))} of {volume}; "
             "the recursion should partition the box exactly")
     leaves = [leaves[i] for i in sorted(range(len(leaves)), key=keys.__getitem__)]
-    return Certificate(system.sid, margin, leaves, state["nodes"],
-                       state["depth"], millis, volume, system, pruning)
+    return Certificate(system, margin, leaves, state["nodes"],
+                       state["depth"], millis, volume, pruning)
 
 
 @dataclass

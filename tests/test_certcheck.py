@@ -270,8 +270,8 @@ def test_a_bound_that_only_reaches_the_cut_is_rejected():
     for expr, proved in ((-x, False), (-x - F(1, 10), True)):
         system = System("toy", ("x",), {"x": (F(0), F(1))}, [Constraint("neg", expr)])
         margin = F(1, 10**6)
-        cert = Certificate("toy", margin, [((("x", (F(0), F(1))),), "neg")],
-                           1, 0, 0.0, F(1), system, _pruning_constraints(system, margin))
+        cert = Certificate(system, margin, [((("x", (F(0), F(1))),), "neg")],
+                           1, 0, 0.0, F(1), _pruning_constraints(system, margin))
         assert cert.verify() is proved
 
 
