@@ -356,6 +356,21 @@ def test_linking_bad_t(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: t = ")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--t", "2", "--eta", "0"], "error: eta = 0 must be positive\n"),
+    (["--t", "3", "--eta", "1"],
+     "error: t = 3 must be at least k-1 = 2 with t+1 divisible by k = 3\n"),
+])
+def test_linking_precondition_message(argv, err, tmp_path, capsys):
+    # a PreconditionError from is_linked reaches main's own handler
+    path = tmp_path / "c34.json"
+    path.write_text(graph_to_json(complete_blowup(3, 4)))
+    assert main(["linking", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_linking_bad_eta(tmp_path, capsys):
     path = tmp_path / "c34.json"
     path.write_text(graph_to_json(complete_blowup(3, 4)))
