@@ -120,12 +120,19 @@ def _parse_deltas(text: str, k: int) -> list:
 
 
 def _matrix_bytes_cap() -> int:
-    """Largest k*n^2 that generate builds and the CLI loads, and largest
-    lattice that verify scans: a quarter of physical memory.  A graph
-    keeps its pairs as packed bits, about k*n^2/4 bytes with their
-    transposes, but the generators and the ``ckblowup/1`` loader first
-    fill k*n^2 bytes of bool matrices."""
+    """Largest k*(n^2 + _PAIR_BYTES) that generate builds and the CLI
+    loads, and largest lattice that verify scans: a quarter of physical
+    memory.  A graph keeps its pairs as packed bits, about k*n^2/4 bytes
+    with their transposes, but the generators and the ``ckblowup/1``
+    loader first fill k*n^2 bytes of bool matrices."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
+
+
+# Besides its n^2 matrix bytes, each pair costs a fixed amount in Python
+# and numpy objects: from k = 10^4 to 10^5 at n = 1, peak RSS rose by
+# 0.80 KB a pair in generate, 0.89 KB loading a ckblowup/2 file and
+# 0.84-1.01 KB loading a ckblowup/1 file (no edges, one edge a pair)
+_PAIR_BYTES = 1024
 
 
 # grid_scan builds a Fraction and a float for each of the N+1 lattice
@@ -135,13 +142,14 @@ _GRID_COORD_BYTES = 136
 
 
 def _oversized(k: int, n: int) -> bool:
-    """Whether a k, n graph's k*n^2 matrix bytes exceed the cap; if so,
-    says so on stderr.  Nothing of the graph is allocated."""
-    need, cap = k * n * n, _matrix_bytes_cap()
-    if n < 1 or need <= cap:
+    """Whether a k, n graph's k*(n^2 + _PAIR_BYTES) bytes exceed the cap;
+    if so, says so on stderr.  Nothing of the graph is allocated."""
+    cap = _matrix_bytes_cap()
+    if n < 1 or k * (n * n + _PAIR_BYTES) <= cap:
         return False
-    print(f"error: a k = {k}, n = {n} graph needs {need} bytes of pair matrices, "
-          f"over the cap of {cap} (a quarter of physical memory)", file=sys.stderr)
+    print(f"error: a k = {k}, n = {n} graph needs {k * n * n} bytes of pair matrices "
+          f"and {k * _PAIR_BYTES} bytes of per-pair objects, over the cap of {cap} "
+          "(a quarter of physical memory)", file=sys.stderr)
     return True
 
 
@@ -242,9 +250,6 @@ def cmd_tile(args) -> int:
             start = time.monotonic()
             res = near_factor3(G, cap=args.cap)
             millis = (time.monotonic() - start) * 1000
-        except PreconditionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except CounterexampleError as exc:
             print(f"counterexample: {exc}", file=sys.stderr)
             return 1
@@ -261,9 +266,6 @@ def cmd_tile(args) -> int:
         start = time.monotonic()
         res = asymp_factor(G, args.epsilon, np.random.default_rng(args.seed))
         millis = (time.monotonic() - start) * 1000
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except StageFailure as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
         return 3
@@ -296,9 +298,6 @@ def cmd_linking(args) -> int:
     except InfeasibleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     payload = {
         "linked": res.linked,
         "pair": [list(res.pair[0]), list(res.pair[1])],

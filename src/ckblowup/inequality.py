@@ -26,10 +26,13 @@ shaving is what lets the search pin coordinates against curved
 constraint boundaries without spending bisection depth on them.  What
 survives is bisected along its widest side.
 
-Each constraint compiles once into a table of two enclosure forms.  The
-prover steers with a float screen (_FloatScreen) over batches of boxes
-and decides every leaf and lattice prune exactly, in Python ints on the
-table scaled to integer coefficients (_int_table, _int_box).
+Constraints are written as Expr polynomials, whose operators build the
+written sum of products and the expanded monomials side by side.  Each
+constraint compiles them once into a table of two enclosure forms, and
+point values come from the expanded form.  The prover steers with a
+float screen (_FloatScreen) over batches of boxes and decides every leaf
+and lattice prune exactly, in Python ints on the table scaled to integer
+coefficients (_int_table, _int_box).
 Certificate.verify hands the certificate as plain data to certcheck,
 which shares no code with this module: it re-derives the pruning
 constraints, re-checks each leaf and checks the leaf partition.
@@ -58,110 +61,85 @@ SMALL = Fraction(1, 10**12)  # violation assigned to exact strict-boundary hits
 
 
 class Expr:
-    """Tiny arithmetic AST over named variables and rational constants,
-    used to write the systems down; Constraint compiles it for
-    evaluation over boxes."""
+    """A polynomial over named variables and rational constants, kept in
+    the two forms that Constraint compiles, both built by the operators:
+
+    - ``terms``: the sum of products as written, a list of (coef,
+      factors), each factor an affine form (const, ((name, a), ...)).
+      ``+`` concatenates terms; ``*`` first turns an operand that is an
+      affine sum of several terms into one affine factor, then
+      distributes, so a factor that is not affine is multiplied out.
+    - ``monos``: the expanded form, a dict from a sorted tuple of
+      variable names (with multiplicity) to the rational coefficient.
+      Sums and products drop zero coefficients.
+
+    Var(name) and lifted numbers are the leaves."""
+
+    __slots__ = ("terms", "monos")
+
+    def __init__(self, terms: list, monos: Dict[tuple, Fraction]):
+        self.terms = terms
+        self.monos = monos
 
     def __add__(self, other):
-        return Add((self, _lift(other)))
+        other = _lift(other)
+        monos = dict(self.monos)
+        for m, c in other.monos.items():
+            monos[m] = monos.get(m, F(0)) + c
+        return Expr(self.terms + other.terms, {m: c for m, c in monos.items() if c})
 
     def __radd__(self, other):
         return _lift(other) + self
 
     def __sub__(self, other):
-        return Add((self, Mul((Num(F(-1)), _lift(other)))))
+        return self + -_lift(other)
 
     def __rsub__(self, other):
         return _lift(other) - self
 
     def __mul__(self, other):
-        return Mul((self, _lift(other)))
+        other = _lift(other)
+        sides = []
+        for terms in (self.terms, other.terms):
+            if len(terms) > 1 and all(len(fs) <= 1 for _, fs in terms):
+                const, lin = F(0), {}
+                for c, fs in terms:
+                    for fc, flin in fs or ((F(1), ()),):
+                        const += c * fc
+                        for v, a in flin:
+                            lin[v] = lin.get(v, F(0)) + c * a
+                lin = tuple((v, a) for v, a in lin.items() if a)
+                terms = [(F(1), ((const, lin),))] if lin else [(const, ())]
+            sides.append(terms)
+        monos: Dict[tuple, Fraction] = {}
+        for m1, c1 in self.monos.items():
+            for m2, c2 in other.monos.items():
+                m = tuple(sorted(m1 + m2))
+                monos[m] = monos.get(m, F(0)) + c1 * c2
+        return Expr([(c1 * c2, f1 + f2) for c1, f1 in sides[0] for c2, f2 in sides[1]],
+                    {m: c for m, c in monos.items() if c})
 
     def __rmul__(self, other):
         return _lift(other) * self
 
     def __neg__(self):
-        return Mul((Num(F(-1)), self))
+        return _lift(-1) * self
 
-    def value(self, point: Dict[str, Fraction]) -> Fraction:
-        raise NotImplementedError
 
-    def monomials(self) -> Dict[tuple, Fraction]:
-        """Expanded form: map from a sorted tuple of variable names
-        (with multiplicity) to the rational coefficient."""
-        raise NotImplementedError
+def Var(name: str) -> Expr:
+    return Expr([(F(1), ((F(0), ((name, F(1)),)),))], {(name,): F(1)})
 
 
 def _lift(v) -> Expr:
     if isinstance(v, Expr):
         return v
-    return Num(F(v))
+    return Expr([(F(v), ())], {(): F(v)})
 
 
-@dataclass(frozen=True)
-class Num(Expr):
-    c: Fraction
-
-    def value(self, point):
-        return self.c
-
-    def monomials(self):
-        return {(): self.c}
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-
-    def value(self, point):
-        return point[self.name]
-
-    def monomials(self):
-        return {(self.name,): F(1)}
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    terms: tuple
-
-    def value(self, point):
-        return sum((t.value(point) for t in self.terms), F(0))
-
-    def monomials(self):
-        out: Dict[tuple, Fraction] = {}
-        for t in self.terms:
-            for mono, c in t.monomials().items():
-                out[mono] = out.get(mono, F(0)) + c
-        return {m: c for m, c in out.items() if c}
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    factors: tuple
-
-    def value(self, point):
-        out = F(1)
-        for f in self.factors:
-            out *= f.value(point)
-        return out
-
-    def monomials(self):
-        out = {(): F(1)}
-        for f in self.factors:
-            nxt: Dict[tuple, Fraction] = {}
-            for m1, c1 in out.items():
-                for m2, c2 in f.monomials().items():
-                    m = tuple(sorted(m1 + m2))
-                    nxt[m] = nxt.get(m, F(0)) + c1 * c2
-            out = nxt
-        return {m: c for m, c in out.items() if c}
-
-
-# A compiled constraint is a _Table of plain tuples.  A "sum of
-# products" is a list of (coef, factors) terms, each factor an affine
-# form (const, ((name, a), ...)) whose range over a box is exact.  Every
-# constraint has degree at most 2, so a term has at most two factors and
-# each partial derivative is one affine form.
+# A compiled constraint is a _Table of plain tuples: Expr's two forms
+# and the partial derivatives.  An affine form's range over a box is
+# exact.  Every constraint has degree at most 2, so a term has at most
+# two factors and each partial derivative is one affine form.
 
 
 class _Table(NamedTuple):
@@ -170,52 +148,11 @@ class _Table(NamedTuple):
     derivs: list  # (name, affine form of that partial derivative)
 
 
-def _written_terms(e: Expr) -> list:
-    """The expression as written, flattened to a sum of products of
-    affine factors.  A factor that is itself an affine sum becomes one
-    affine form; any other sum under a product is distributed."""
-    if isinstance(e, Num):
-        return [(e.c, ())]
-    if isinstance(e, Var):
-        return [(F(1), (_unit(e.name),))]
-    if isinstance(e, Add):
-        return [t for sub in e.terms for t in _written_terms(sub)]
-    out = [(F(1), ())]
-    for f in e.factors:
-        terms = _written_terms(f)
-        if len(terms) > 1 and all(len(fs) <= 1 for _, fs in terms):
-            terms = [_merge_affine(terms)]
-        out = [(c1 * c2, f1 + f2) for c1, f1 in out for c2, f2 in terms]
-    return out
-
-
-def _unit(name: str) -> tuple:
-    return (F(0), ((name, F(1)),))
-
-
-def _merge_affine(terms: list) -> tuple:
-    const = F(0)
-    lin: Dict[str, Fraction] = {}
-    for c, fs in terms:
-        if not fs:
-            const += c
-            continue
-        (fc, flin), = fs
-        const += c * fc
-        for v, a in flin:
-            lin[v] = lin.get(v, F(0)) + c * a
-    lin = {v: a for v, a in lin.items() if a}
-    if not lin:
-        return (const, ())
-    return (F(1), ((const, tuple(lin.items())),))
-
-
 def _compile(expr: Expr) -> _Table:
-    terms = _written_terms(expr)
-    if any(len(fs) > 2 for _, fs in terms):
+    if any(len(fs) > 2 for _, fs in expr.terms):
         raise ValueError("constraints must be written with at most two "
                          "non-constant factors per product")
-    monos = list(expr.monomials().items())
+    monos = list(expr.monos.items())
     derivs = []
     for v in sorted({n for mono, _ in monos for n in mono}):
         # d/dv of c*v is c, of c*v*u is c*u, of c*v*v is 2c*v
@@ -229,7 +166,7 @@ def _compile(expr: Expr) -> _Table:
                 else:
                     const += c
         derivs.append((v, (const, tuple(lin.items()))))
-    return _Table(terms, [(c, m) for m, c in monos], derivs)
+    return _Table(expr.terms, [(c, m) for m, c in monos], derivs)
 
 
 def _int_table(table: _Table) -> tuple:
@@ -353,7 +290,13 @@ class Constraint:
         return (h * den < lim) if strict else (h * den <= lim)
 
     def value(self, point: Dict[str, Fraction]) -> Fraction:
-        return self.expr.value(point)
+        """The expression at an exact point, from its expanded form."""
+        total = F(0)
+        for coef, names in self._table.monos:
+            for v in names:
+                coef *= point[v]
+            total += coef
+        return total
 
     def holds_at(self, point: Dict[str, Fraction]) -> bool:
         v = self.value(point)

@@ -55,12 +55,6 @@ class Labeling:
 
     part_of: dict
 
-    def label_of(self, part: int) -> str:
-        for lab, p in self.part_of.items():
-            if p == part:
-                return lab
-        raise KeyError(part)
-
 
 def relabel_abc(G: BlowupGraph) -> Labeling:
     """Ties are broken towards the lower part-pair index, so the result

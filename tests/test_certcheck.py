@@ -17,10 +17,8 @@ from hypothesis import given, settings, strategies as st
 from ckblowup import certcheck, inequality
 from ckblowup.inequality import (
     ALL_SYSTEMS,
-    Add,
     Certificate,
     Constraint,
-    Num,
     System,
     Var,
     _plain_terms,
@@ -325,16 +323,17 @@ def test_moving_one_leaf_end_is_rejected(data):
 
 
 def to_sympy(sympy, e, symbols):
-    if isinstance(e, Num):
-        return sympy.Rational(e.c.numerator, e.c.denominator)
-    if isinstance(e, Var):
-        return symbols[e.name]
-    parts = [to_sympy(sympy, t, symbols) for t in (e.terms if isinstance(e, Add) else e.factors)]
-    return sympy.Add(*parts) if isinstance(e, Add) else sympy.Mul(*parts)
+    """The written sum of products, each affine factor rebuilt in sympy."""
+    def rat(q):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    return sympy.Add(*(rat(coef) * sympy.Mul(*(
+        rat(const) + sympy.Add(*(rat(a) * symbols[v] for v, a in lin))
+        for const, lin in factors)) for coef, factors in e.terms))
 
 
 def sympy_monomials(sympy, expr, variables):
-    """Expr.monomials()'s form of sympy's expansion: sorted name tuples."""
+    """Expr.monos's form of sympy's expansion: sorted name tuples."""
     symbols = {v: sympy.Symbol(v) for v in variables}
     poly = sympy.Poly(sympy.expand(to_sympy(sympy, expr, symbols)), *symbols.values())
     return {tuple(sorted(v for v, p in zip(variables, powers) for _ in range(p))):
@@ -356,8 +355,48 @@ def test_written_forms_expand_alike_in_sympy(sid):
     files = cert_file(sid)["pruning"] if sid in ALL_SYSTEMS else None
     for j, (c, _, _) in enumerate(pruning):
         want = sympy_monomials(sympy, c.expr, variables)
-        assert c.expr.monomials() == want, c.name
+        assert c.expr.monos == want, c.name
         assert {names: k for k, names in c._table.monos} == want, c.name
         assert checker_monomials(_plain_terms(c._table.terms), variables) == want, c.name
         if files is not None:
             assert checker_monomials(files[j]["terms"], variables) == want, c.name
+
+
+NAMES = ("x", "y", "z")
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def expressions(draw, depth=4):
+    """(expression, degree bound) from Var, rationals, +, -, * and unary
+    -; a product that would pass degree two is drawn as a sum instead."""
+    op = draw(st.sampled_from(("leaf", "+", "-", "*", "neg") if depth else ("leaf",)))
+    if op == "leaf":
+        return draw(st.one_of(st.sampled_from(NAMES).map(lambda v: (Var(v), 1)),
+                              RATIONALS.map(lambda q: (q, 0))))
+    a, da = draw(expressions(depth - 1))
+    if op == "neg":
+        return -a, da
+    b, db = draw(expressions(depth - 1))
+    if op == "*" and da + db <= 2:
+        return a * b, da + db
+    return (a - b if op == "-" else a + b), max(da, db)
+
+
+# a draw that is a bare number is lifted to a constant Expr
+EXPRESSIONS = expressions().map(lambda t: inequality._lift(t[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPRESSIONS, st.fixed_dictionaries({v: RATIONALS for v in NAMES}))
+def test_drawn_expressions_expand_and_evaluate_alike_in_sympy(e, point):
+    # the written terms and the expanded monomials are built separately
+    # by Expr's operators; sympy expands the first to the second and
+    # evaluates it to what Constraint.value gets from the second
+    sympy = pytest.importorskip("sympy")
+    want = sympy_monomials(sympy, e, NAMES)
+    assert {m: k for m, k in e.monos.items() if k} == {m: k for m, k in want.items() if k}
+    symbols = {v: sympy.Symbol(v) for v in NAMES}
+    value = to_sympy(sympy, e, symbols).subs(
+        {symbols[v]: sympy.Rational(q.numerator, q.denominator) for v, q in point.items()})
+    assert Constraint("e", e).value(point) == F(int(value.p), int(value.q))

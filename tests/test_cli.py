@@ -72,8 +72,9 @@ def test_generate_refuses_oversized_graph_before_allocating(family, tmp_path, ca
     assert "Traceback" not in err and not out.exists()
 
 
-def test_generate_size_cap_is_on_k_n_squared_bytes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: 48)
+def test_generate_size_cap_is_on_matrix_and_pair_bytes(tmp_path, capsys, monkeypatch):
+    c = cli._PAIR_BYTES
+    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: 3 * (16 + c))
     out = str(tmp_path / "g.json")
     assert main(["generate", "--family", "complete", "--k", "3", "--n", "4",
                  "--out", out]) == 0
@@ -91,13 +92,41 @@ def test_generate_size_cap_is_on_k_n_squared_bytes(tmp_path, capsys, monkeypatch
         assert main(["generate", "--family", *family, "--out", out]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{need} bytes" in err
-    monkeypatch.undo()  # the generators again, and a cap of exactly 108 bytes
-    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: 108)
+    monkeypatch.undo()  # the generators again, and a cap of exactly k*(n^2 + c)
+    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: 108 + 3 * c)
     assert main(["generate", "--family", "haggkvist", "--m", "1", "--out", out]) == 0
     # a bad --m or --p/--q is still a usage error, not a size refusal
     assert main(["generate", "--family", "haggkvist", "--m", "-1000000", "--out", out]) == 2
     assert main(["generate", "--family", "cover", "--p", "1", "--q", "2", "--out", out]) == 2
     capsys.readouterr()
+
+
+def test_size_cap_counts_each_pairs_fixed_cost(tmp_path, capsys, monkeypatch):
+    # k*n^2 fits under the cap but k*(n^2 + c) does not: both generate
+    # and the loader refuse before building anything
+    from ckblowup import core
+
+    def no_building(*args):
+        raise AssertionError("the graph was built")
+
+    k, n = 3, 100
+    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: k * (n * n + cli._PAIR_BYTES) - 1)
+    for name in ("complete_blowup", "random_min_degree"):
+        monkeypatch.setattr(cli, name, no_building)
+    monkeypatch.setattr(core, "build_graph", no_building)
+    monkeypatch.setattr(core, "_decode_pairs", no_building)
+    out = tmp_path / "g.json"
+    for family in (["complete"], ["random", "--seed", "1", "--deltas", "1,1,1"]):
+        assert main(["generate", "--family", *family, "--k", str(k), "--n", str(n),
+                     "--out", str(out)]) == 3
+    path = tmp_path / "g2.json"
+    for fmt, body in (("ckblowup/1", "edges"), ("ckblowup/2", "pairs")):
+        path.write_text(json.dumps({body: [], "format": fmt, "k": k, "n": n}))
+        assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"error: a k = 3, n = 100 graph needs 30000 bytes of pair matrices "
+                     f"and {3 * cli._PAIR_BYTES} bytes of per-pair objects") == 4
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("n", [4000, 10**6])
@@ -307,6 +336,18 @@ def test_tile_constructive_rejects_sigma_outside_unit_interval(eps, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sigma must lie in (0, 1)\n"
+
+
+def test_tile_constructive_stage_failure_exits_3(tmp_path, capsys):
+    # at n = 60 no absorber size closes the pipeline's accounting
+    path = tmp_path / "c360.json"
+    path.write_text(graph_to_json(complete_blowup(3, 60)))
+    assert main(["tile", str(path), "--constructive", "--seed", "1",
+                 "--epsilon", "0.25"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("stage failure: sizing: no absorber size closes the "
+                            "accounting for n = 60, k = 3, m = 5\n")
 
 
 def test_cover(hagg_file, capsys):
