@@ -67,8 +67,9 @@ class Expr:
     - ``terms``: the sum of products as written, a list of (coef,
       factors), each factor an affine form (const, ((name, a), ...)).
       ``+`` concatenates terms; ``*`` first turns an operand that is an
-      affine sum of several terms into one affine factor, then
-      distributes, so a factor that is not affine is multiplied out.
+      affine sum of several terms into one affine factor, whose range
+      over a box is exact, then distributes, so a factor that is not
+      affine is multiplied out.
     - ``monos``: the expanded form, a dict from a sorted tuple of
       variable names (with multiplicity) to the rational coefficient.
       Sums and products drop zero coefficients.
@@ -127,6 +128,7 @@ class Expr:
 
 
 def Var(name: str) -> Expr:
+    """The variable ``name`` as an expression."""
     return Expr([(F(1), ((F(0), ((name, F(1)),)),))], {(name,): F(1)})
 
 
