@@ -78,15 +78,16 @@ def test_generate_size_cap_is_on_matrix_and_pair_bytes(tmp_path, capsys, monkeyp
     out = str(tmp_path / "g.json")
     assert main(["generate", "--family", "complete", "--k", "3", "--n", "4",
                  "--out", out]) == 0
-    assert main(["generate", "--family", "complete", "--k", "3", "--n", "5",
-                 "--out", out]) == 3
-    assert "75 bytes" in capsys.readouterr().err
 
     def no_generation(*args):
         raise AssertionError("the generator ran")
 
-    monkeypatch.setattr(cli, "haggkvist_example", no_generation)
-    monkeypatch.setattr(cli, "cover_example", no_generation)
+    for name in ("complete_blowup", "haggkvist_example", "cover_example"):
+        monkeypatch.setattr(cli, name, no_generation)
+    # n = 5: k*n^2 = 75 bytes fit under the cap, but k*(n^2 + c) do not
+    assert main(["generate", "--family", "complete", "--k", "3", "--n", "5",
+                 "--out", out]) == 3
+    assert "75 bytes" in capsys.readouterr().err
     # haggkvist: n = 2km = 6; cover 7/9: n = 36
     for family, need in ((["haggkvist", "--m", "1"], 108), (["cover"], 3 * 36 * 36)):
         assert main(["generate", "--family", *family, "--out", out]) == 3
@@ -101,35 +102,7 @@ def test_generate_size_cap_is_on_matrix_and_pair_bytes(tmp_path, capsys, monkeyp
     capsys.readouterr()
 
 
-def test_size_cap_counts_each_pairs_fixed_cost(tmp_path, capsys, monkeypatch):
-    # k*n^2 fits under the cap but k*(n^2 + c) does not: both generate
-    # and the loader refuse before building anything
-    from ckblowup import core
-
-    def no_building(*args):
-        raise AssertionError("the graph was built")
-
-    k, n = 3, 100
-    monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: k * (n * n + cli._PAIR_BYTES) - 1)
-    for name in ("complete_blowup", "random_min_degree"):
-        monkeypatch.setattr(cli, name, no_building)
-    monkeypatch.setattr(core, "build_graph", no_building)
-    monkeypatch.setattr(core, "_decode_pairs", no_building)
-    out = tmp_path / "g.json"
-    for family in (["complete"], ["random", "--seed", "1", "--deltas", "1,1,1"]):
-        assert main(["generate", "--family", *family, "--k", str(k), "--n", str(n),
-                     "--out", str(out)]) == 3
-    path = tmp_path / "g2.json"
-    for fmt, body in (("ckblowup/1", "edges"), ("ckblowup/2", "pairs")):
-        path.write_text(json.dumps({body: [], "format": fmt, "k": k, "n": n}))
-        assert main(["check", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.count(f"error: a k = 3, n = 100 graph needs 30000 bytes of pair matrices "
-                     f"and {3 * cli._PAIR_BYTES} bytes of per-pair objects") == 4
-    assert "Traceback" not in err and not out.exists()
-
-
-@pytest.mark.parametrize("n", [4000, 10**6])
+@pytest.mark.parametrize("n", [100, 4000, 10**6])
 @pytest.mark.parametrize("fmt,body", [("ckblowup/1", "edges"), ("ckblowup/2", "pairs")])
 def test_loading_refuses_oversized_graph_before_allocating(n, fmt, body, tmp_path, capsys,
                                                            monkeypatch):
@@ -140,6 +113,9 @@ def test_loading_refuses_oversized_graph_before_allocating(n, fmt, body, tmp_pat
 
     monkeypatch.setattr(core, "build_graph", no_building)
     monkeypatch.setattr(core, "_decode_pairs", no_building)
+    if n == 100:  # 30 KB of bool matrices fit, but not with c bytes per pair
+        monkeypatch.setattr(cli, "_matrix_bytes_cap",
+                            lambda: 3 * (100 * 100 + cli._PAIR_BYTES) - 1)
     if n == 4000:  # 48 MB of bool matrices, over a cap patched down to 47 MB
         monkeypatch.setattr(cli, "_matrix_bytes_cap", lambda: 3 * 4000 * 4000 - 1)
     path = tmp_path / "big.json"
