@@ -19,7 +19,7 @@ from ckblowup.core import (
 )
 from ckblowup.exact import is_cover
 from ckblowup.inequality import FeasiblePoint
-from ckblowup.generators import complete_blowup, haggkvist_example
+from ckblowup.generators import complete_blowup, haggkvist_example, random_min_degree
 
 
 @pytest.fixture()
@@ -354,6 +354,15 @@ def test_linking(tmp_path, capsys):
     assert main(["linking", str(path), "--t", "5", "--eta", "1",
                  "--max-work", "10"]) == 3
     assert "combinations" in capsys.readouterr().err
+
+
+def test_linking_cycle_union_payload(tmp_path, capsys):
+    # criterion 10's k = 3 instance of seed 608, counted by the cycle-union form
+    path = tmp_path / "c10.json"
+    path.write_text(graph_to_json(random_min_degree(3, 6, [6, 4, 4], seed=608)))
+    assert main(["linking", str(path), "--t", "5", "--eta", "1/100000"]) == 0
+    assert capsys.readouterr().out == (
+        '{"linked":true,"min_count":3000,"pair":[[3,1],[3,4]],"threshold":"243/3125"}\n')
 
 
 def test_linking_path_product_is_never_refused(tmp_path, capsys):

@@ -3,6 +3,7 @@ tilings against subset enumeration, linking counts against direct tuple
 enumeration, cover numbers against weak duality and known instances."""
 
 import math
+import random
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -452,6 +453,45 @@ def test_is_linked_minimizer_is_pinned():
     res = is_linked(G, Fraction(1, 16000), 3)
     assert res.pair == (VertexRef(3, 0), VertexRef(3, 5))
     assert res.count == 41
+
+
+# criterion 10's k = 3 recipe: (minimizing pair, count) of each of its
+# 20 instances at (eps^3/100, 5), eps = 1/10
+CRITERION_10_K3 = [
+    ((1, 0), (1, 1), 3600), ((3, 0), (3, 1), 3300), ((3, 0), (3, 2), 3300),
+    ((1, 0), (1, 1), 3300), ((1, 0), (1, 1), 3600), ((1, 1), (1, 4), 3060),
+    ((1, 0), (1, 1), 3300), ((1, 0), (1, 3), 3120), ((3, 1), (3, 4), 3000),
+    ((1, 0), (1, 1), 3600), ((1, 0), (1, 1), 3600), ((1, 0), (1, 1), 3600),
+    ((3, 0), (3, 2), 3000), ((1, 0), (1, 1), 3600), ((1, 0), (1, 1), 3600),
+    ((1, 0), (1, 1), 3600), ((1, 0), (1, 3), 3300), ((1, 0), (1, 1), 3600),
+    ((1, 0), (1, 1), 3600), ((1, 0), (1, 1), 3600),
+]
+
+
+def criterion_10_k3_instance(trial):
+    seed = 600 + trial
+    rng = random.Random(seed)
+    while True:
+        ds = sorted((rng.randint(4, 6) for _ in range(3)), reverse=True)
+        if ds[0] + ds[1] >= 10:
+            break
+    return random_min_degree(3, 6, ds, seed=seed)
+
+
+def test_is_linked_cycle_union_minimizers_are_pinned():
+    for trial, (v, v2, count) in enumerate(CRITERION_10_K3):
+        res = is_linked(criterion_10_k3_instance(trial), Fraction(1, 10**5), 5)
+        assert (res.pair, res.count) == ((VertexRef(*v), VertexRef(*v2)), count), trial
+        assert res.linked
+
+
+def test_is_linked_cycle_union_count_on_complete_blowup():
+    # t = 15 is two cycles' worth: every candidate set links, so a pair
+    # of V_1 has its third vertex there and an ordered pair of 3 in each
+    # of the 7 other parts; a pair v = v' has more
+    res = is_linked(complete_blowup(8, 3), Fraction(1, 100), 15, max_work=10**8)
+    assert res.count == 279936 == 6**7
+    assert res.linked
 
 
 def test_is_linked_work_guard():
