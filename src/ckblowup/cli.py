@@ -512,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("--eta", required=True, help="threshold coefficient (fraction ok)")
     ln.add_argument("--max-work", type=_NONNEGATIVE_INT, default=20_000_000,
                     help="refuse (exit 3) a t > k-1 check whose candidate "
-                         "sets number more than this; t = k-1 is never refused")
+                         "sets plus cycle-union listing number more than this; "
+                         "t = k-1 is never refused")
     ln.add_argument("--out", default="-")
     ln.set_defaults(func=cmd_linking)
 

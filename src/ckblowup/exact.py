@@ -4,9 +4,9 @@ and linking-sequence counts.
 Everything here is correct by construction at small scale and doubles as
 the reference implementation for the randomized pipeline.  Linking
 counts come from two closed forms: for any t, the unions of (t+1)/k
-disjoint transversal cycles, listed once per graph
-(``union_linking_bits``); for t = k-1, a product of pair matrices along
-a transversal path (``path_linking_count``).  The tests check both
+disjoint transversal cycles, listed once per graph and numbered per
+part (``union_linking_bits``); for t = k-1, a product of pair matrices
+along a transversal path (``path_linking_count``).  The tests check both
 against a reference that tests every candidate set with ``has_factor``.
 Conventions:
 
@@ -14,7 +14,9 @@ Conventions:
   order, parts in increasing label order, so optima and witnesses are
   reproducible.
 * A vertex set is k Python ints, bit i of entry p-1 standing for vertex
-  i of V_p; adjacency is read through ``BlowupGraph.pair_bits``.
+  i of V_p; adjacency is read through ``BlowupGraph.pair_bits``.  Only
+  inside ``union_linking_bits`` is a set one int of k*n bits, vertex i
+  of V_p being bit (p-1)*n + i, as a key that one AND or OR acts on.
   Optional ``alive`` arguments restrict a search to an induced subgraph;
   they accept a dict mapping parts to index iterables or such k ints.
   Graphs are never copied.
@@ -385,40 +387,47 @@ def union_linking_bits(G: BlowupGraph, t: int) -> tuple:
 
     A candidate set X of a vertex v of V_i has r-1 vertices in V_i and r
     in every other part, so X + v has a transversal cycle factor exactly
-    when it is such a union.  The unions are listed once per graph, as
-    k-int bitsets.  Returns (bits, orderings): bit j of ``bits[i-1][a]``
-    is set when the j-th candidate set of part i (numbered per part)
-    plus vertex a of V_i is a union, and the count of the pair (a, b) of
-    V_i is ``(bits[i-1][a] & bits[i-1][b]).bit_count() * orderings``.
+    when it is such a union.  The unions are listed once per graph; while
+    listing, a cycle, a union and a candidate set are each one int of k*n
+    bits, vertex a of V_p being bit (p-1)*n + a, so that a disjointness
+    test is one AND and a union one OR.  Each part numbers its candidate
+    sets with one dict lookup per (union, member) and builds the bitsets
+    of its n vertices from one bool matrix.  Returns (bits, orderings): bit j of
+    ``bits[i-1][a]`` is set when the j-th candidate set of part i
+    (numbered per part) plus vertex a of V_i is a union, and the count of
+    the pair (a, b) of V_i is
+    ``(bits[i-1][a] & bits[i-1][b]).bit_count() * orderings``.
     """
     k, n = G.k, G.n
     _check_linking_t(k, t)
     r = (t + 1) // k
     full = [(1 << n) - 1] * k
-    cycles = [tuple(1 << idx for idx in c)
+    cycles = [sum(1 << (p * n + idx) for p, idx in enumerate(c))
               for u in range(n) for c in _cycles_through(G, full, u)]
     unions = set()
-    stack = [(0, (0,) * k, r)]  # (next cycle, union so far, cycles to add)
+    stack = [(0, 0, r)]  # (next cycle, union so far, cycles to add)
     while stack:
         start, union, left = stack.pop()
-        if left <= 0:
-            unions.add(union)
+        if left == 1:
+            unions.update(union | c for c in cycles[start:] if not union & c)
             continue
         for j in range(start, len(cycles)):
             c = cycles[j]
-            if not any(map(int.__and__, union, c)):
-                stack.append((j + 1, tuple(map(int.__or__, union, c)), left - 1))
+            if not union & c:
+                stack.append((j + 1, union | c, left - 1))
 
-    bits = [[0] * n for _ in range(k)]
+    bits = []
     for i in range(k):
-        index: dict = {}
-        for S in unions:
-            members = S[i]
-            while members:
-                a = _low(members)
-                members &= members - 1
-                X = S[:i] + (S[i] & ~(1 << a),) + S[i + 1:]
-                bits[i][a] |= 1 << index.setdefault(X, len(index))
+        index: dict = {}  # candidate set -> its number in part i
+        ids = []
+        for a in range(n):
+            v = 1 << (i * n + a)
+            ids.append([index.setdefault(S ^ v, len(index)) for S in unions if S & v])
+        member = np.zeros((n, len(index)), dtype=bool)
+        for a, row in enumerate(ids):
+            member[a, row] = True
+        packed = np.packbits(member, axis=1, bitorder="little")
+        bits.append([int.from_bytes(row.tobytes(), "little") for row in packed])
     pattern = linking_pattern(k, 1, t)
     orderings = math.prod(math.factorial(pattern.count(p)) for p in range(1, k + 1))
     return bits, orderings
@@ -432,16 +441,21 @@ class LinkedResult:
     threshold: Fraction
 
 
-def _linking_work_estimate(G: BlowupGraph, t: int) -> int:
+def _linking_work_estimate(G: BlowupGraph, t: int, max_work: int) -> int:
+    """Work of the cycle-union form: the candidate sets of all same-part
+    pairs, plus sum over d <= r of C(C, d), which bounds the nodes of the
+    union listing when G has C transversal cycles.  It is 0 exactly when
+    no candidate set exists (r > n).  The cycles are counted only when
+    the candidate sets fit in ``max_work``, so that refusing a large
+    instance costs no path product."""
     k, n = G.k, G.n
     pattern = linking_pattern(k, 1, t)
-    combos = 1
-    for p in range(1, k + 1):
-        s = pattern.count(p)
-        if s:
-            combos *= math.comb(n, s)
-    pairs = k * (n * (n + 1) // 2)
-    return pairs * combos
+    combos = math.prod(math.comb(n, pattern.count(p)) for p in range(1, k + 1))
+    sets = k * (n * (n + 1) // 2) * combos
+    if sets == 0 or sets > max_work:
+        return sets
+    cycles = sum(_path_counts(G, 1, [(u, u) for u in range(n)]))
+    return sets + sum(math.comb(cycles, d) for d in range((t + 1) // k + 1))
 
 
 def is_linked(G: BlowupGraph, eta, t: int, *, max_work: int = 20_000_000) -> LinkedResult:
@@ -452,9 +466,11 @@ def is_linked(G: BlowupGraph, eta, t: int, *, max_work: int = 20_000_000) -> Lin
     Counts are exact: ``path_linking_count`` for t = k-1, the
     intersections of ``union_linking_bits`` otherwise.  The path product
     enumerates nothing, so only the cycle-union form is guarded: it
-    raises InfeasibleSizeError when the candidate sets of all pairs
-    number more than ``max_work``, so an undecided instance is never
-    conflated with a negative answer.  Requires eta > 0.
+    raises InfeasibleSizeError when the candidate sets of all pairs plus
+    the nodes of the union listing number more than ``max_work``, so an
+    undecided instance is never conflated with a negative answer.  When
+    a part has fewer than (t+1)/k vertices no candidate set exists, and
+    every pair counts 0 without any listing.  Requires eta > 0.
     """
     k, n = G.k, G.n
     eta = Fraction(eta)
@@ -467,11 +483,13 @@ def is_linked(G: BlowupGraph, eta, t: int, *, max_work: int = 20_000_000) -> Lin
         def counts(i):
             return _path_counts(G, i, pairs)
     else:
-        est = _linking_work_estimate(G, t)
+        est = _linking_work_estimate(G, t, max_work)
         if est > max_work:
             raise InfeasibleSizeError(
                 f"exhaustive linkedness check needs ~{est} combinations (> {max_work})"
             )
+        if est == 0:  # every count is 0, below the positive threshold
+            return LinkedResult(False, (VertexRef(1, 0), VertexRef(1, 0)), 0, threshold)
         bits, orderings = union_linking_bits(G, t)
 
         def counts(i):

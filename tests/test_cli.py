@@ -365,6 +365,22 @@ def test_linking_cycle_union_payload(tmp_path, capsys):
         '{"linked":true,"min_count":3000,"pair":[[3,1],[3,4]],"threshold":"243/3125"}\n')
 
 
+def test_linking_guard_edges(tmp_path, capsys):
+    # no candidate set exists: count 0, answered without listing
+    path = tmp_path / "c36.json"
+    path.write_text(graph_to_json(complete_blowup(3, 6)))
+    assert main(["linking", str(path), "--t", "299", "--eta", "1/100"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["linked"], payload["pair"], payload["min_count"]) == (False, [[1, 0], [1, 0]], 0)
+    # few candidate sets but 2^16 cycles to pair up: refused
+    path = tmp_path / "c16_2.json"
+    path.write_text(graph_to_json(complete_blowup(16, 2)))
+    assert main(["linking", str(path), "--t", "31", "--eta", "1/100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "combinations" in captured.err
+
+
 def test_linking_path_product_is_never_refused(tmp_path, capsys):
     # t = k-1 counts by a path product and enumerates nothing, so no
     # work estimate applies, even one far above --max-work

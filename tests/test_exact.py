@@ -10,7 +10,9 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ckblowup import exact
 from ckblowup.core import BlowupGraph, VertexRef, PreconditionError, validate_tiling
@@ -361,6 +363,36 @@ def test_linking_counts_match_enumeration(k, n, t):
     assert len(counts) > 1  # the instance tells pairs apart
 
 
+def random_blowup(k, n, density, seed):
+    return BlowupGraph(k, n, np.random.default_rng(seed).random((k, n, n)) < density)
+
+
+def union_counts(G, t):
+    bits, orderings = union_linking_bits(G, t)
+    return [[(row[a] & row[b]).bit_count() * orderings for a in range(G.n) for b in range(a, G.n)]
+            for row in bits]
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.sampled_from([3, 4, 5]), n=st.integers(1, 5),
+       density=st.sampled_from([0.5, 0.8, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_union_counts_match_path_product(k, n, density, seed):
+    # at t = k-1 the two closed forms count the same sequences
+    G = random_blowup(k, n, density, seed)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    assert union_counts(G, k - 1) == [exact._path_counts(G, i, pairs) for i in range(1, k + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), density=st.sampled_from([0.6, 0.8, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_union_counts_match_enumeration_at_two_cycles(n, density, seed):
+    G = random_blowup(3, n, density, seed)
+    assert union_counts(G, 5) == [
+        [enumerate_linking(G, VertexRef(i, a), VertexRef(i, b), 5).count
+         for a in range(n) for b in range(a, n)] for i in range(1, 4)]
+
+
 def test_path_linking_count_beyond_int64():
     # every transversal path of the other 7 parts links; 520**7 > 2**63
     G = complete_blowup(8, 520)
@@ -498,6 +530,26 @@ def test_is_linked_work_guard():
     G = complete_blowup(3, 30)
     with pytest.raises(InfeasibleSizeError):
         is_linked(G, Fraction(1, 100), 5, max_work=1000)
+
+
+def test_is_linked_without_candidate_sets_lists_nothing(monkeypatch):
+    # a part of 2 cannot hold r = 3 cycles' worth of vertices: the listing
+    # finds no union, and is_linked reports the first pair at count 0
+    bits, _ = union_linking_bits(complete_blowup(3, 2), 8)
+    assert bits == [[0, 0]] * 3
+    monkeypatch.setattr(exact, "union_linking_bits", None)  # never called
+    for G, t in ((complete_blowup(3, 2), 8), (complete_blowup(3, 6), 299)):
+        res = is_linked(G, Fraction(1, 100), t)
+        assert res == exact.LinkedResult(False, (VertexRef(1, 0), VertexRef(1, 0)), 0,
+                                         Fraction(G.n**t, 100))
+
+
+def test_is_linked_work_guard_counts_the_union_listing():
+    # few candidate sets (96 for 16 parts of 2), but C(2^16, 2) pairs of
+    # transversal cycles to list; 21.5M pairs for 8 parts of 3
+    for k, n in ((16, 2), (8, 3)):
+        with pytest.raises(InfeasibleSizeError, match="combinations"):
+            is_linked(complete_blowup(k, n), Fraction(1, 100), 2 * k - 1)
 
 
 def test_is_linked_path_product_skips_work_guard():
