@@ -379,8 +379,9 @@ def union_counts(G, t):
 def test_union_counts_match_path_product(k, n, density, seed):
     # at t = k-1 the two closed forms count the same sequences
     G = random_blowup(k, n, density, seed)
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    assert union_counts(G, k - 1) == [exact._path_counts(G, i, pairs) for i in range(1, k + 1)]
+    assert union_counts(G, k - 1) == [
+        [path_linking_count(G, VertexRef(i, a), VertexRef(i, b))
+         for a in range(n) for b in range(a, n)] for i in range(1, k + 1)]
 
 
 @settings(max_examples=40, deadline=None)
